@@ -26,13 +26,14 @@ import numpy as np
 from .fluxes import (
     LambdaVariant,
     _gradient_vector,
+    _radiation_row,
     convective_flux,
-    face_pressure,
+    diffusion_coeffs,
     frak_p,
-    lambda_coeff,
+    physical_coeff,
 )
-from .grid import discrete_norm, gradient_norm_l2
-from .means import arith_mean, log_mean
+from .grid import _slab, discrete_norm, gradient_norm_l2
+from .means import arith_mean
 from .rhs import assemble_rhs, face_flux_parts, face_states
 from .thermo import delta_w, entropy_quantities, primitives_from_conserved
 
@@ -110,9 +111,9 @@ def totals(u5, grid, gas, t=0.0, dt=float("nan")):
 
     rho_bar_grad_vel_sq = 0.0
     for ax in grid.active_axes:
-        left, right = face_states(prim, ax)
-        rho_bar = arith_mean(left.rho, right.rho)
-        g = sum(((r - l) / grid.spacing[ax]) ** 2 for l, r in zip(left.vel, right.vel))
+        rho_bar = arith_mean(_slab(prim.rho, ax, None, -1), _slab(prim.rho, ax, 1, None))
+        g = sum(((_slab(c, ax, 1, None) - _slab(c, ax, None, -1)) / grid.spacing[ax]) ** 2
+                for c in prim.vel)
         v_left = _slab(vol, ax, None, -1)
         rho_bar_grad_vel_sq += float(np.sum(v_left * rho_bar ** 2 * g))
 
@@ -129,7 +130,7 @@ def totals(u5, grid, gas, t=0.0, dt=float("nan")):
         max_speed=float(np.max(speed)),
         entropy_dissipation=entropy_dissipation(u5, grid, gas, prim=prim),
         norm_rho_l2=discrete_norm(prim.rho, grid, 2),
-        norm_grad_log_rho=gradient_norm_l2(np.log(prim.rho), grid),
+        norm_grad_log_rho=gradient_norm_l2(prim.log_rho, grid),
         norm_rho_grad_vel=float(np.sqrt(rho_bar_grad_vel_sq)),
         norm_grad_temp32=gradient_norm_l2(prim.T ** 1.5, grid),
     )
@@ -146,13 +147,7 @@ def write_csv(path, records):
 # face-level entropy quantities
 
 
-def _slab(a, axis, lo, hi):
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(lo, hi)
-    return a[tuple(index)]
-
-
-def _dissipation_bracket(axis, left, right, h_axis, gas):
+def _dissipation_bracket(face, h_axis, gas):
     """Sign-definite bracket multiplying the diffusion coefficient in the
     entropy contraction, plus the radiative term (already coefficient-free):
 
@@ -163,17 +158,26 @@ def _dissipation_bracket(axis, left, right, h_axis, gas):
 
     Every term is nonnegative for admissible states.
     """
-    d_rho = right.rho - left.rho
-    bracket = d_rho * (d_rho / h_axis) / log_mean(left.rho, right.rho)
-    beta_bar = arith_mean(left.beta, right.beta)
-    rho_bar = arith_mean(left.rho, right.rho)
+    left, right = face.left, face.right
+    d_rho = face.rho.jump
+    bracket = d_rho * (d_rho / h_axis) / face.rho.ln
+    rho_bar = face.rho.bar
     vel_part = sum((ur - ul) * ((ur - ul) / h_axis) for ul, ur in zip(left.vel, right.vel))
-    bracket = bracket + 2.0 * beta_bar * rho_bar * vel_part
-    d_beta = right.beta - left.beta
-    d_inv_beta = (1.0 / right.beta - 1.0 / left.beta) / h_axis
+    bracket = bracket + 2.0 * face.beta.bar * rho_bar * vel_part
+    d_beta = face.beta.jump
+    d_inv_beta = (right.inv_beta - left.inv_beta) / h_axis
     bracket = bracket - (rho_bar / (gas.gamma - 1.0)) * d_beta * d_inv_beta
-    radiation = -2.0 * gas.kappa_r * d_beta * (right.T ** 4 - left.T ** 4) / h_axis
+    radiation = 0.0
+    if gas.kappa_r != 0.0:
+        radiation = -2.0 * gas.kappa_r * d_beta * (right.T4 - left.T4) / h_axis
     return bracket, radiation
+
+
+def _face_dissipation(face, grid, gas):
+    """sum over the faces of one bundle of S * (B nu + R)."""
+    bracket, radiation = _dissipation_bracket(face, grid.spacing[face.axis], gas)
+    face_sum = np.sum(physical_coeff(face, gas) * bracket + radiation, axis=face.axis)
+    return float(np.sum(grid.face_area(face.axis) * face_sum))
 
 
 def entropy_dissipation(u5, grid, gas, prim=None):
@@ -186,37 +190,30 @@ def entropy_dissipation(u5, grid, gas, prim=None):
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
     total = 0.0
     for ax in grid.active_axes:
-        left, right = face_states(prim, ax)
-        h = grid.spacing[ax]
-        bracket, radiation = _dissipation_bracket(ax, left, right, h, gas)
-        nu = gas.mu0 / log_mean(left.rho, right.rho) + gas.mu1 * arith_mean(left.rho, right.rho)
-        face_sum = np.sum(nu * bracket + radiation, axis=ax)
-        total += float(np.sum(grid.face_area(ax) * face_sum))
+        total += _face_dissipation(face_states(prim, ax), grid, gas)
     return total
 
 
-def _convective_minus_lambda(axis, left, right, variant, gas):
+def _convective_minus_lambda(face, variant, gas):
     """f^c - f^lambda as a face-local quantity (the grid spacing cancels)."""
-    conv = convective_flux(axis, left, right, gas)
-    lam = lambda_coeff(axis, left, right, variant)
-    return conv - lam * _gradient_vector(axis, left, right, 1.0, gas)
+    lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
+    return convective_flux(face, gas) - lam * _gradient_vector(face, 1.0, gas)
 
 
-def shuffle_gap(axis, left, right, variant, gas):
-    """Entropy-compatibility gap of one face:
+def shuffle_gap(face, variant, gas):
+    """Entropy-compatibility gap of the faces of a face bundle:
 
         gap = jump(rho u_n) - jump(w) . (f^c - f^lambda)  >= 0 (up to rounding).
     """
-    gap, _ = shuffle_gap_and_scale(axis, left, right, variant, gas)
+    gap, _ = shuffle_gap_and_scale(face, variant, gas)
     return gap
 
 
-def shuffle_gap_and_scale(axis, left, right, variant, gas):
+def shuffle_gap_and_scale(face, variant, gas):
     """Gap together with the local magnitude to normalize tolerances by."""
-    flux = _convective_minus_lambda(axis, left, right, variant, gas)
-    dw = delta_w(left, right, gas)
-    contraction = np.sum(dw * flux, axis=0)
-    d_psi = right.rho * right.vel[axis] - left.rho * left.vel[axis]
+    flux = _convective_minus_lambda(face, variant, gas)
+    contraction = np.sum(delta_w(face, gas) * flux, axis=0)
+    d_psi = face.right.momenta[face.axis] - face.left.momenta[face.axis]
     scale = np.maximum(1.0, np.maximum(np.abs(d_psi), np.abs(contraction)))
     return d_psi - contraction, scale
 
@@ -252,7 +249,7 @@ def _ke_pieces(u5, grid, gas, variant):
     """Shared assembly for the kinetic- and internal-energy residuals."""
     u5 = np.asarray(u5, dtype=float)
     prim = primitives_from_conserved(u5, gas)
-    tend = assemble_rhs(u5, grid, gas, variant)
+    tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
     u, v, w = prim.vel
     dK = -0.5 * prim.speed_sq * tend[0] + u * tend[1] + v * tend[2] + w * tend[3]
     vol_dK = grid.cell_volumes * dK
@@ -265,39 +262,36 @@ def _ke_pieces(u5, grid, gas, variant):
     scale = np.maximum(1.0, np.abs(vol_dK))
 
     for ax in grid.active_axes:
-        left, right = face_states(prim, ax)
+        face = face_states(prim, ax)
+        left, right = face.left, face.right
         h = grid.spacing[ax]
-        conv, nu_part, lambda_part, coeffs = face_flux_parts(ax, prim, grid, gas, variant)
-        total = conv - (nu_part + lambda_part)
+        conv, diffusive, coeffs = face_flux_parts(face, grid, gas, variant)
+        total = conv - diffusive
 
-        vel_bar = [arith_mean(l, r) for l, r in zip(left.vel, right.vel)]
         speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
         ke_flux = -0.5 * speed_sq_bar * total[0]
         for c in range(3):
-            ke_flux = ke_flux + vel_bar[c] * total[c + 1]
+            ke_flux = ke_flux + face.vel_bar[c] * total[c + 1]
         term = _face_area_expand(grid, ax) * np.diff(_pad_faces(ke_flux, ax), axis=ax)
         ke_div += term
         scale = np.maximum(scale, np.abs(term))
 
-        p_face = face_pressure(left, right)
         d_un = right.vel[ax] - left.vel[ax]
-        term = _two_face_node_sum(p_face * d_un, grid, ax)
+        term = _two_face_node_sum(face.p_face * d_un, grid, ax)
         pdv += term
         scale = np.maximum(scale, np.abs(term))
 
-        rho_bar = arith_mean(left.rho, right.rho)
         jump_sq = sum((ur - ul) ** 2 for ul, ur in zip(left.vel, right.vel))
-        term = _two_face_node_sum(coeffs.tilde_nu * rho_bar * jump_sq / h, grid, ax)
+        term = _two_face_node_sum(coeffs.tilde_nu * face.rho.bar * jump_sq / h, grid, ax)
         dis += term
         scale = np.maximum(scale, np.abs(term))
 
-        rho_un_mean = arith_mean(left.rho * left.vel[ax], right.rho * right.vel[ax])
-        beta_log = log_mean(left.beta, right.beta)
-        ie_conv = rho_un_mean / (2.0 * (gas.gamma - 1.0) * beta_log)
+        ie_conv = conv[0] / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
         ie_conv_div += _face_area_expand(grid, ax) * np.diff(_pad_faces(ie_conv, ax), axis=ax)
 
-        ie_diff = coeffs.tilde_nu * frak_p(left, right, h, gas) / (gas.gamma - 1.0)
-        ie_diff = ie_diff + gas.kappa_r * (right.T ** 4 - left.T ** 4) / h
+        ie_diff = coeffs.tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)
+        if gas.kappa_r != 0.0:
+            ie_diff = ie_diff + _radiation_row(face, h, gas)
         ie_diff_div += _face_area_expand(grid, ax) * np.diff(_pad_faces(ie_diff, ax), axis=ax)
 
     return prim, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale
@@ -351,15 +345,15 @@ def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
     """
     u5 = np.asarray(u5, dtype=float)
     prim = primitives_from_conserved(u5, gas)
-    tend = assemble_rhs(u5, grid, gas, variant)
+    tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
     w = entropy_quantities(prim, gas).w
     production = float(np.sum(grid.cell_volumes * np.sum(w * tend, axis=0)))
 
-    dissipation = entropy_dissipation(u5, grid, gas, prim=prim)
-    slack = 0.0
+    dissipation = slack = 0.0
     for ax in grid.active_axes:
-        left, right = face_states(prim, ax)
-        gap, _ = shuffle_gap_and_scale(ax, left, right, variant, gas)
+        face = face_states(prim, ax)
+        dissipation += _face_dissipation(face, grid, gas)
+        gap, _ = shuffle_gap_and_scale(face, variant, gas)
         slack += float(np.sum(grid.face_area(ax) * np.sum(gap, axis=ax)))
 
     scale = max(1.0, abs(production), dissipation, abs(slack))
@@ -479,13 +473,13 @@ def apriori_norm_report(history, grid, gas):
         vol = grid.cell_volumes
         track_sup("mass (L1 of rho)", float(np.sum(vol * prim.rho)))
         track_sup("L4 norm of rho", discrete_norm(prim.rho, grid, 4))
-        track_sup("L1 of rho log rho", float(np.sum(vol * np.abs(prim.rho * np.log(prim.rho)))))
+        track_sup("L1 of rho log rho", float(np.sum(vol * np.abs(prim.rho * prim.log_rho))))
         track_sup("L1 of 1/rho", float(np.sum(vol / prim.rho)))
         track_sup("L1 of sqrt(T)", float(np.sum(vol * np.sqrt(prim.T))))
         track_sup("L2^2 of sqrt(rho) v", float(np.sum(vol * prim.rho * prim.speed_sq)))
 
         track_int("grad rho (L2^2)", gradient_norm_l2(prim.rho, grid) ** 2)
-        track_int("grad log rho (L2^2)", gradient_norm_l2(np.log(prim.rho), grid) ** 2)
+        track_int("grad log rho (L2^2)", gradient_norm_l2(prim.log_rho, grid) ** 2)
         track_int("grad rho^{5/2} (L2^2)", gradient_norm_l2(prim.rho ** 2.5, grid) ** 2)
         track_int("grad 1/rho (L2^2)", gradient_norm_l2(1.0 / prim.rho, grid) ** 2)
         track_int("grad T^{3/2} (L2^2)", gradient_norm_l2(prim.T ** 1.5, grid) ** 2)

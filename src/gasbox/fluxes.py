@@ -1,11 +1,12 @@
 """Two-point face fluxes: convective part, diffusion coefficients and
 diffusive part.
 
-Every function takes the primitive states on the two sides of a face
-(arrays of any matching shape, so the same code serves randomized pair
-sweeps and whole face slabs) plus the axis whose velocity component is
-normal to the face.  Flux vectors are stacked along a leading component
-axis: (mass, x-, y-, z-momentum, energy).
+Every function takes the face bundle (:class:`~gasbox.thermo.FaceState`)
+of a set of faces: the primitive states on both sides, arrays of any
+matching shape (so the same code serves randomized pair sweeps and whole
+face slabs), the axis whose velocity component is normal to the faces,
+and the face means every formula below reads.  Flux vectors are stacked
+along a leading component axis: (mass, x-, y-, z-momentum, energy).
 
 The convective flux is the kinetic-energy/entropy-compatible two-point
 flux built from arithmetic means and the logarithmic mean of
@@ -23,18 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import arith_mean, log_mean
+from .means import arith_mean
 
 __all__ = [
     "LambdaVariant",
     "DiffusionCoeffs",
     "density_jump_sensor",
-    "lambda_coeff",
     "lambda_alt_coeffs",
+    "physical_coeff",
     "diffusion_coeffs",
     "convective_flux",
     "frak_p",
-    "diffusive_flux",
     "split_diffusive_flux",
 ]
 
@@ -52,9 +52,10 @@ class LambdaVariant(enum.Enum):
 _RATIO_SERIES_CUTOFF = 1.0e-2
 
 
-def _mean_logmean_jump_ratio(rho_l, rho_r):
-    """(arith mean - log mean) / jump for a positive pair; 0 at equal values.
+def _mean_logmean_jump_ratio(rho):
+    """(arith mean - log mean) / jump of a positive pair; 0 at equal values.
 
+    ``rho`` holds the pair's means and jumps (:class:`~gasbox.means.PairMeans`).
     Expanding both means in zeta = (b - a)/(b + a) gives
 
         ratio = (zeta/2) * (1/3 + z/5 + z^2/7 + z^3/9)
@@ -64,40 +65,32 @@ def _mean_logmean_jump_ratio(rho_l, rho_r):
     direct formula has already lost at most ~4 digits to cancellation.
     The value is bounded by 1/2 in magnitude and has the sign of the jump.
     """
-    rho_l = np.asarray(rho_l, dtype=float)
-    rho_r = np.asarray(rho_r, dtype=float)
-    zeta = (rho_r - rho_l) / (rho_r + rho_l)
+    d_rho = rho.jump
+    zeta = d_rho / (2.0 * rho.bar)
     z = zeta * zeta
     num = 1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0)))
     den = 1.0 + z * (1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0))))
     series = 0.5 * zeta * num / den
 
-    d_rho = rho_r - rho_l
     safe = np.where(d_rho == 0.0, 1.0, d_rho)
-    direct = (arith_mean(rho_l, rho_r) - log_mean(rho_l, rho_r)) / safe
+    direct = (rho.bar - rho.ln) / safe
     out = np.where(np.abs(zeta) < _RATIO_SERIES_CUTOFF, series, direct)
     return np.where(d_rho == 0.0, 0.0, out)
 
 
-def density_jump_sensor(rho_l, rho_r, variant):
-    """Sensor R multiplying |normal velocity| in the diffusion coefficient."""
-    rho_l = np.asarray(rho_l, dtype=float)
-    rho_r = np.asarray(rho_r, dtype=float)
-    dlog = np.abs(np.log(rho_r) - np.log(rho_l))
+def density_jump_sensor(rho, variant):
+    """Sensor R multiplying |normal velocity| in the diffusion coefficient.
+
+    ``rho`` holds the face means and jumps of the densities
+    (``FaceState.rho``, or :func:`~gasbox.means.pair_means` of a pair).
+    """
+    dlog = np.abs(rho.log_jump)
     if variant is LambdaVariant.FIRST_ORDER:
         return np.maximum(0.5, dlog)
-    return np.maximum(np.abs(_mean_logmean_jump_ratio(rho_l, rho_r)), dlog)
+    return np.maximum(np.abs(_mean_logmean_jump_ratio(rho)), dlog)
 
 
-def lambda_coeff(axis, left, right, variant):
-    """Artificial diffusion coefficient |u_n| R + |jump of u_n| / 4."""
-    un_l = left.vel[axis]
-    un_r = right.vel[axis]
-    sensor = density_jump_sensor(left.rho, right.rho, variant)
-    return np.abs(arith_mean(un_l, un_r)) * sensor + 0.25 * np.abs(un_r - un_l)
-
-
-def lambda_alt_coeffs(axis, left, right, variant):
+def lambda_alt_coeffs(face, variant, gas):
     """Effective coefficients of the rewritten mass flux, both nonnegative.
 
     mean(rho u) - lambda * jump(rho) equals
@@ -106,18 +99,16 @@ def lambda_alt_coeffs(axis, left, right, variant):
     the sensor dominates the extra mean-difference ratios, so both
     coefficients stay nonnegative.
     """
-    lam = lambda_coeff(axis, left, right, variant)
-    un_l = left.vel[axis]
-    un_r = right.vel[axis]
-    u_bar = arith_mean(un_l, un_r)
-    lam_a = lam - 0.25 * (un_r - un_l)
+    ax = face.axis
+    lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
+    lam_a = lam - 0.25 * (face.right.vel[ax] - face.left.vel[ax])
     # (mean - geomean)/jump == (sqrt(b) - sqrt(a)) / (2 (sqrt(b) + sqrt(a)));
     # the term is subtracted: splitting mean(rho) into geomean + difference
     # moves the difference into the coefficient with a minus sign, and the
     # sensor bounds its magnitude either way
-    sl = np.sqrt(np.asarray(left.rho, dtype=float))
-    sr = np.sqrt(np.asarray(right.rho, dtype=float))
-    lam_c = lam_a - u_bar * (sr - sl) / (2.0 * (sr + sl))
+    sl = np.sqrt(face.left.rho)
+    sr = np.sqrt(face.right.rho)
+    lam_c = lam_a - face.vel_bar[ax] * (sr - sl) / (2.0 * (sr + sl))
     return lam_a, lam_c
 
 
@@ -131,15 +122,21 @@ class DiffusionCoeffs:
     r_star: np.ndarray    # sensor value actually used
 
 
-def diffusion_coeffs(axis, left, right, h_axis, variant, gas):
-    """All face diffusion coefficients for one pair/slab."""
-    rho_log = log_mean(left.rho, right.rho)
-    rho_bar = arith_mean(left.rho, right.rho)
-    nu = gas.mu0 / rho_log + gas.mu1 * rho_bar
-    sensor = density_jump_sensor(left.rho, right.rho, variant)
-    un_l = left.vel[axis]
-    un_r = right.vel[axis]
-    lam = np.abs(arith_mean(un_l, un_r)) * sensor + 0.25 * np.abs(un_r - un_l)
+def physical_coeff(face, gas):
+    """Physical diffusion coefficient nu = mu0 / logmean(rho) + mu1 mean(rho)."""
+    return gas.mu0 / face.rho.ln + gas.mu1 * face.rho.bar
+
+
+def diffusion_coeffs(face, h_axis, variant, gas):
+    """All face diffusion coefficients of one face bundle.
+
+    lambda = |mean(u_n)| R + |jump of u_n| / 4 with R the density-jump
+    sensor; the combined coefficient is nu + h lambda.
+    """
+    nu = physical_coeff(face, gas)
+    sensor = density_jump_sensor(face.rho, variant)
+    ax = face.axis
+    lam = np.abs(face.vel_bar[ax]) * sensor + 0.25 * np.abs(face.right.vel[ax] - face.left.vel[ax])
     return DiffusionCoeffs(
         nu_face=np.asarray(nu, dtype=float),
         lambda_face=np.asarray(lam, dtype=float),
@@ -148,13 +145,8 @@ def diffusion_coeffs(axis, left, right, h_axis, variant, gas):
     )
 
 
-def face_pressure(left, right):
-    """Face pressure mean(rho) / (2 mean(beta))."""
-    return arith_mean(left.rho, right.rho) / (2.0 * arith_mean(left.beta, right.beta))
-
-
-def convective_flux(axis, left, right, gas):
-    """Entropy-compatible convective two-point flux through one face.
+def convective_flux(face, gas):
+    """Entropy-compatible convective two-point flux through the faces.
 
     mass      mean(rho u_n)
     momentum  mean(v_c) mean(rho u_n) + p_face on the normal row
@@ -163,74 +155,65 @@ def convective_flux(axis, left, right, gas):
 
     Reduces to the exact analytic flux when both states agree.
     """
-    rho_un_mean = arith_mean(left.rho * left.vel[axis], right.rho * right.vel[axis])
-    p_face = face_pressure(left, right)
-    beta_log = log_mean(left.beta, right.beta)
-
-    vel_bar = [arith_mean(l, r) for l, r in zip(left.vel, right.vel)]
-    speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
-    mean_vel_sq = sum(vb * vb for vb in vel_bar)
-
-    momentum = []
+    ax = face.axis
+    left, right = face.left, face.right
+    p_face = face.p_face
+    vel_bar = face.vel_bar
+    # rows are written in place: the flux arrays are the largest
+    # temporaries of a tendency evaluation
+    flux = np.empty((5,) + np.shape(p_face))
+    rho_un_mean = flux[0]
+    np.add(left.momenta[ax], right.momenta[ax], out=rho_un_mean)
+    rho_un_mean *= 0.5
     for c in range(3):
-        row = vel_bar[c] * rho_un_mean
-        if c == axis:
-            row = row + p_face
-        momentum.append(row)
-    energy = (
-        rho_un_mean / (2.0 * (gas.gamma - 1.0) * beta_log)
-        - 0.5 * speed_sq_bar * rho_un_mean
-        + mean_vel_sq * rho_un_mean
-        + p_face * vel_bar[axis]
-    )
-    return np.stack([rho_un_mean, *momentum, energy])
+        np.multiply(vel_bar[c], rho_un_mean, out=flux[c + 1])
+    flux[ax + 1] += p_face
 
-
-def frak_p(left, right, h_axis, gas):
-    """Pressure-diffusion scalar of the energy flux.
-
-    (1 / (2 logmean(beta))) D+ rho + (mean(rho)/2) D+ (1/beta); direction
-    enters only through which pair is handed in.
-    """
-    beta_log = log_mean(left.beta, right.beta)
-    d_rho = (right.rho - left.rho) / h_axis
-    d_inv_beta = (1.0 / right.beta - 1.0 / left.beta) / h_axis
-    return d_rho / (2.0 * beta_log) + 0.5 * arith_mean(left.rho, right.rho) * d_inv_beta
-
-
-def _gradient_vector(axis, left, right, h_axis, gas):
-    """Gradient stencil of the conserved variables; multiplying it by a
-    diffusion coefficient yields the diffusive flux (radiation excluded)."""
-    d_rho = (right.rho - left.rho) / h_axis
-    rows = [d_rho]
-    for ul, ur in zip(left.vel, right.vel):
-        rows.append((right.rho * ur - left.rho * ul) / h_axis)
-    d_rho_speed_sq = (right.rho * right.speed_sq - left.rho * left.speed_sq) / h_axis
-    jump_vel_sq = sum((ur - ul) ** 2 for ul, ur in zip(left.vel, right.vel))
-    energy = (
-        frak_p(left, right, h_axis, gas) / (gas.gamma - 1.0)
-        + 0.5 * d_rho_speed_sq
-        - 0.25 * jump_vel_sq * d_rho
-    )
-    rows.append(energy)
-    return np.stack(rows)
-
-
-def _radiation_row(left, right, h_axis, gas):
-    return gas.kappa_r * (right.T ** 4 - left.T ** 4) / h_axis
-
-
-def diffusive_flux(axis, left, right, coeffs, h_axis, gas):
-    """Total diffusive face flux: tilde-nu times the gradient stencil plus
-    the radiative temperature term on the energy row."""
-    grad = _gradient_vector(axis, left, right, h_axis, gas)
-    flux = coeffs.tilde_nu * grad
-    if gas.kappa_r != 0.0:
-        flux[4] = flux[4] + _radiation_row(left, right, h_axis, gas)
+    speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
+    mean_vel_sq = vel_bar[0] * vel_bar[0] + vel_bar[1] * vel_bar[1] + vel_bar[2] * vel_bar[2]
+    energy = flux[4]
+    np.divide(rho_un_mean, 2.0 * (gas.gamma - 1.0) * face.beta.ln, out=energy)
+    energy -= 0.5 * speed_sq_bar * rho_un_mean
+    energy += mean_vel_sq * rho_un_mean
+    energy += p_face * vel_bar[ax]
     return flux
 
 
-def split_diffusive_flux(axis, left, right, coeffs, h_axis, gas):
+def frak_p(face, h_axis):
+    """Pressure-diffusion scalar of the energy flux.
+
+    (1 / (2 logmean(beta))) D+ rho + (mean(rho)/2) D+ (1/beta); direction
+    enters only through the axis of the face bundle.
+    """
+    d_rho = face.rho.jump / h_axis
+    d_inv_beta = (face.right.inv_beta - face.left.inv_beta) / h_axis
+    return d_rho / (2.0 * face.beta.ln) + 0.5 * face.rho.bar * d_inv_beta
+
+
+def _gradient_vector(face, h_axis, gas):
+    """Gradient stencil of the conserved variables; multiplying it by a
+    diffusion coefficient yields the diffusive flux (radiation excluded)."""
+    left, right = face.left, face.right
+    grad = np.empty((5,) + np.shape(face.p_face))
+    d_rho = grad[0]
+    np.divide(face.rho.jump, h_axis, out=d_rho)
+    for c, (ml, mr) in enumerate(zip(left.momenta, right.momenta)):
+        np.subtract(mr, ml, out=grad[c + 1])
+        grad[c + 1] /= h_axis
+    du, dv, dw = (ur - ul for ul, ur in zip(left.vel, right.vel))
+    jump_vel_sq = du * du + dv * dv + dw * dw
+    energy = grad[4]
+    np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=energy)
+    energy += 0.5 * ((right.rho_speed_sq - left.rho_speed_sq) / h_axis)
+    energy -= 0.25 * jump_vel_sq * d_rho
+    return grad
+
+
+def _radiation_row(face, h_axis, gas):
+    return gas.kappa_r * (face.right.T4 - face.left.T4) / h_axis
+
+
+def split_diffusive_flux(face, coeffs, h_axis, gas):
     """Diffusive flux split into its physical and artificial parts.
 
     Returns (total, nu_part, lambda_part) where the lambda part is the
@@ -238,9 +221,9 @@ def split_diffusive_flux(axis, left, right, coeffs, h_axis, gas):
     uses nu and carries the radiation term, and the total is formed as
     their sum (so the decomposition is bitwise by construction).
     """
-    grad = _gradient_vector(axis, left, right, h_axis, gas)
+    grad = _gradient_vector(face, h_axis, gas)
     lambda_part = (h_axis * coeffs.lambda_face) * grad
-    nu_part = coeffs.nu_face * grad
+    nu_part = np.multiply(coeffs.nu_face, grad, out=grad)
     if gas.kappa_r != 0.0:
-        nu_part[4] = nu_part[4] + _radiation_row(left, right, h_axis, gas)
+        nu_part[4] += _radiation_row(face, h_axis, gas)
     return nu_part + lambda_part, nu_part, lambda_part

@@ -6,11 +6,15 @@ ufuncs.  The logarithmic mean uses a series expansion near equal
 arguments to avoid the 0/0 cancellation in (b - a) / (log b - log a).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
     "arith_mean",
     "log_mean",
+    "PairMeans",
+    "pair_means",
     "geo_mean",
     "split_average_residual",
 ]
@@ -24,6 +28,20 @@ _SERIES_CUTOFF = 1.0e-4
 def arith_mean(a, b):
     """Arithmetic mean (a + b) / 2."""
     return 0.5 * (np.asarray(a, dtype=float) + np.asarray(b, dtype=float))
+
+
+def _log_mean(total, jump, log_jump):
+    """Log mean from a + b, b - a and log b - log a (no argument checks).
+
+    Series branch (a + b) / (2 + 2 z/3 + 2 z^2/5 + 2 z^3/7) for
+    z = ((b - a)/(b + a))^2 below the cutoff, direct quotient otherwise.
+    """
+    zeta = jump / total
+    z = zeta * zeta
+    out = np.asarray(total / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0)))))
+    # above the cutoff the pair differs by > 2%, so log_jump != 0
+    np.divide(jump, log_jump, out=out, where=z >= _SERIES_CUTOFF)
+    return out
 
 
 def log_mean(a, b):
@@ -43,21 +61,39 @@ def log_mean(a, b):
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("log_mean requires strictly positive arguments")
 
-    zeta = (b - a) / (b + a)
-    z = zeta * zeta
-    series = (a + b) / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0))))
-
     # log(b) - log(a) rather than log(b/a): the difference of the two
     # rounded logs negates exactly under argument swap.
-    dlog = np.log(b) - np.log(a)
-    safe = np.where(dlog == 0.0, 1.0, dlog)
-    direct = (b - a) / safe
-
-    out = np.where(z < _SERIES_CUTOFF, series, direct)
+    out = _log_mean(a + b, b - a, np.log(b) - np.log(a))
     out = np.where(a == b, a, out)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+@dataclass(frozen=True)
+class PairMeans:
+    """Means of positive pairs (a, b) together with the jumps they come from."""
+
+    jump: np.ndarray      # b - a
+    log_jump: np.ndarray  # log b - log a
+    bar: np.ndarray       # arithmetic mean
+    ln: np.ndarray        # logarithmic mean
+
+
+def pair_means(a, b, log_a, log_b):
+    """Arithmetic and logarithmic means of positive pairs from their logs.
+
+    The arguments are not checked: callers pass values validated as
+    positive and finite (see ``thermo.primitives_from_conserved``) and
+    their precomputed logs, so each log is taken once per value rather
+    than once per pair.  The log mean equals :func:`log_mean` of the
+    same pair.
+    """
+    total = a + b
+    jump = b - a
+    log_jump = log_b - log_a
+    return PairMeans(jump=jump, log_jump=log_jump, bar=0.5 * total,
+                     ln=_log_mean(total, jump, log_jump))
 
 
 def geo_mean(a, b):

@@ -19,10 +19,13 @@ Fields must be admissible on entry: positive density and pressure
 everywhere, zero momentum on wall nodes.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from .fluxes import LambdaVariant, convective_flux, diffusion_coeffs, split_diffusive_flux
-from .thermo import PrimitiveFields, primitives_from_conserved
+from .grid import _slab
+from .thermo import PrimitiveFields, face_means, primitives_from_conserved
 
 __all__ = [
     "boundary_node_mask",
@@ -53,74 +56,69 @@ def apply_boundary_state(u5, grid):
     return out
 
 
-def _slab(a, axis, lo, hi):
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(lo, hi)
-    return a[tuple(index)]
+def _side(prim, axis, lo, hi):
+    """Slab view ``lo:hi`` along ``axis`` of every per-node field."""
+    index = (slice(None),) * axis + (slice(lo, hi),)
+
+    def cut(a):
+        if a is None:
+            return None
+        if isinstance(a, tuple):
+            return tuple(c[index] for c in a)
+        return a[index]
+
+    return PrimitiveFields(**{f.name: cut(getattr(prim, f.name)) for f in fields(prim)})
 
 
 def face_states(prim, axis):
-    """Left/right primitive views on the interior faces along ``axis``."""
-    def cut(a, lo, hi):
-        return _slab(a, axis, lo, hi)
-
-    left = PrimitiveFields(
-        rho=cut(prim.rho, None, -1),
-        vel=tuple(cut(c, None, -1) for c in prim.vel),
-        p=cut(prim.p, None, -1),
-        T=cut(prim.T, None, -1),
-        beta=cut(prim.beta, None, -1),
-    )
-    right = PrimitiveFields(
-        rho=cut(prim.rho, 1, None),
-        vel=tuple(cut(c, 1, None) for c in prim.vel),
-        p=cut(prim.p, 1, None),
-        T=cut(prim.T, 1, None),
-        beta=cut(prim.beta, 1, None),
-    )
-    return left, right
+    """Face bundle (:class:`~gasbox.thermo.FaceState`) of the interior
+    faces along ``axis``, with left/right views into ``prim``."""
+    return face_means(axis, _side(prim, axis, None, -1), _side(prim, axis, 1, None))
 
 
-def face_flux_parts(axis, prim, grid, gas, variant):
-    """Interior-face fluxes along one axis, split for the diagnostics.
+def face_flux_parts(face, grid, gas, variant):
+    """Interior-face fluxes of one face bundle.
 
-    Returns (convective, diffusive_nu, diffusive_lambda, coeffs); the total
-    face flux is convective - (diffusive_nu + diffusive_lambda).
+    Returns (convective, diffusive, coeffs); the total face flux is
+    convective - diffusive.
     """
-    left, right = face_states(prim, axis)
-    h = grid.spacing[axis]
-    conv = convective_flux(axis, left, right, gas)
-    coeffs = diffusion_coeffs(axis, left, right, h, variant, gas)
-    _, nu_part, lambda_part = split_diffusive_flux(axis, left, right, coeffs, h, gas)
-    return conv, nu_part, lambda_part, coeffs
+    h = grid.spacing[face.axis]
+    coeffs = diffusion_coeffs(face, h, variant, gas)
+    diffusive, _, _ = split_diffusive_flux(face, coeffs, h, gas)
+    return convective_flux(face, gas), diffusive, coeffs
 
 
-def _flux_divergence(total_face, grid, axis):
-    """(F_{+} - F_{-}) / width per node, wall faces extended with zeros."""
-    ax = axis + 1  # leading component axis
-    shape = list(total_face.shape)
-    shape[ax] += 2
-    ext = np.zeros(shape, dtype=float)
-    _slab(ext, ax, 1, -1)[...] = total_face
-    return np.diff(ext, axis=ax) / grid.width_along(axis)
-
-
-def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, t=0.0):
+def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, t=0.0,
+                 prim=None, tilde_nu_max=None):
     """Tendency du/dt of the full scheme on an admissible field.
 
-    Raises :class:`~gasbox.thermo.PositivityError` if density or pressure
-    is nonpositive anywhere (checked once, on entry).  ``source``, if
-    given, is called as ``source(grid, t)`` and added before the wall
-    momentum rows are frozen.
+    Raises :class:`~gasbox.thermo.PositivityError` if the state is not
+    admissible (checked once, by the primitive conversion, unless ``prim``
+    hands in the primitives of ``u5``).  ``source``, if given, is called
+    as ``source(grid, t)`` and added before the wall momentum rows are
+    frozen.  If ``tilde_nu_max`` is a list, the largest combined face
+    diffusion coefficient of each active axis is appended to it.
     """
     u5 = np.asarray(u5, dtype=float)
-    prim = primitives_from_conserved(u5, gas)
+    if prim is None:
+        prim = primitives_from_conserved(u5, gas)
     tend = np.zeros_like(u5)
     for ax in grid.active_axes:
-        conv, nu_part, lambda_part, _ = face_flux_parts(ax, prim, grid, gas, variant)
-        total = conv - (nu_part + lambda_part)
-        tend -= _flux_divergence(total, grid, ax)
+        face = face_states(prim, ax)
+        flux, diffusive, coeffs = face_flux_parts(face, grid, gas, variant)
+        flux -= diffusive
+        if tilde_nu_max is not None:
+            tilde_nu_max.append(float(np.max(coeffs.tilde_nu)))
+        # face i is the plus face of node i and the minus face of node
+        # i + 1; the wall faces carry no flux
+        width = grid.width_along(ax)
+        left_nodes = _slab(tend, ax + 1, None, -1)
+        left_nodes -= flux / _slab(width, ax, None, -1)
+        right_nodes = _slab(tend, ax + 1, 1, None)
+        right_nodes += flux / _slab(width, ax, 1, None)
     if source is not None:
-        tend = tend + source(grid, t)
-    tend[1:4, boundary_node_mask(grid)] = 0.0
+        tend += source(grid, t)
+    for ax in grid.active_axes:
+        _slab(tend[1:4], ax + 1, 0, 1)[...] = 0.0
+        _slab(tend[1:4], ax + 1, -1, None)[...] = 0.0
     return tend

@@ -26,15 +26,17 @@ import warnings
 
 import numpy as np
 
-from .means import arith_mean, log_mean
+from .means import PairMeans, arith_mean, pair_means
 
 __all__ = [
     "GasParams",
     "PositivityError",
     "PrimitiveFields",
+    "FaceState",
     "EntropyQuantities",
     "primitives",
     "primitives_from_conserved",
+    "face_means",
     "conserved_from_primitives",
     "specific_entropy",
     "entropy_quantities",
@@ -44,7 +46,8 @@ __all__ = [
 
 
 class PositivityError(Exception):
-    """Nonpositive density, pressure or temperature at some cell.
+    """Nonpositive or non-finite density, pressure, temperature or beta at
+    some cell.
 
     Recoverable: the time integrator catches it to reject a step.  Carries
     the offending quantity name, cell index and value for diagnostics.
@@ -54,7 +57,8 @@ class PositivityError(Exception):
         self.quantity = quantity
         self.index = index
         self.value = value
-        super().__init__(f"nonpositive {quantity} = {value:.6g} at cell {index}")
+        super().__init__(f"inadmissible {quantity} = {value:.6g} at cell {index}"
+                         " (must be positive and finite)")
 
 
 @dataclass(frozen=True)
@@ -93,46 +97,78 @@ class GasParams:
 
 @dataclass(frozen=True)
 class PrimitiveFields:
-    """Primitive view of a conserved field: arrays of identical shape."""
+    """Primitive view of a conserved field: arrays of identical shape.
+
+    Besides the primitive variables it carries every per-node quantity the
+    face formulas read, computed once per node: the logs feeding the face
+    log means, 1/beta, |v|^2, the momenta, rho |v|^2 and, when radiation
+    is on, T^4 (None otherwise).
+    """
 
     rho: np.ndarray
     vel: tuple  # (u, v, w)
     p: np.ndarray
     T: np.ndarray
     beta: np.ndarray
-
-    @property
-    def speed_sq(self):
-        u, v, w = self.vel
-        return u * u + v * v + w * w
+    log_rho: np.ndarray
+    log_beta: np.ndarray
+    inv_beta: np.ndarray
+    speed_sq: np.ndarray
+    momenta: tuple  # (rho u, rho v, rho w)
+    rho_speed_sq: np.ndarray
+    T4: np.ndarray = None
 
 
 def _first_bad_index(mask):
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
+def _require_admissible(quantity, values):
+    """Raise :class:`PositivityError` unless every value is positive and finite."""
+    # NaN fails both comparisons, so one min and one max cover every case
+    if not (np.min(values) > 0.0 and np.max(values) < np.inf):
+        idx = _first_bad_index(~((values > 0.0) & (values < np.inf)))
+        raise PositivityError(quantity, idx, float(values[idx]))
+
+
+def _fields(rho, vel, momenta, speed_sq, p, gas):
+    T = p / (rho * gas.R)
+    beta = rho / (2.0 * p)
+    _require_admissible("temperature", T)
+    _require_admissible("beta", beta)
+    return PrimitiveFields(
+        rho=rho, vel=vel, p=p, T=T, beta=beta,
+        log_rho=np.log(rho),
+        log_beta=np.log(beta),
+        inv_beta=1.0 / beta,
+        speed_sq=speed_sq,
+        momenta=momenta,
+        rho_speed_sq=rho * speed_sq,
+        T4=T ** 4 if gas.kappa_r != 0.0 else None,
+    )
+
+
+def _speed_sq(vel):
+    u, v, w = vel
+    return u * u + v * v + w * w
+
+
 def primitives_from_conserved(u5, gas):
     """Convert a conserved array (5, ...) to primitive fields.
 
-    Raises :class:`PositivityError` (with the first offending cell) if
-    density or pressure is not strictly positive.
+    Raises :class:`PositivityError` (with the first offending cell) unless
+    density, pressure, temperature and beta are positive and finite
+    everywhere; any non-finite conserved entry ends up in one of them.
+    Every face formula relies on this gate instead of checking again.
     """
     u5 = np.asarray(u5, dtype=float)
     rho = u5[0]
-    bad = ~(rho > 0.0)
-    if np.any(bad):
-        idx = _first_bad_index(bad)
-        raise PositivityError("density", idx, float(rho[idx]))
+    _require_admissible("density", rho)
     vel = tuple(u5[c] / rho for c in (1, 2, 3))
-    kinetic = 0.5 * rho * (vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2)
-    p = (gas.gamma - 1.0) * (u5[4] - kinetic)
-    bad = ~(p > 0.0)
-    if np.any(bad):
-        idx = _first_bad_index(bad)
-        raise PositivityError("pressure", idx, float(p[idx]))
-    T = p / (rho * gas.R)
-    beta = rho / (2.0 * p)
-    return PrimitiveFields(rho=rho, vel=vel, p=p, T=T, beta=beta)
+    speed_sq = _speed_sq(vel)
+    p = (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq)
+    _require_admissible("pressure", p)
+    return _fields(rho, vel, (u5[1], u5[2], u5[3]), speed_sq, p, gas)
 
 
 def primitives(rho, vel, p, gas):
@@ -140,11 +176,39 @@ def primitives(rho, vel, p, gas):
     rho = np.asarray(rho, dtype=float)
     vel = tuple(np.broadcast_to(np.asarray(c, dtype=float), rho.shape).copy() for c in vel)
     p = np.asarray(p, dtype=float)
-    if np.any(rho <= 0.0):
-        raise PositivityError("density", _first_bad_index(rho <= 0.0), float(np.min(rho)))
-    if np.any(p <= 0.0):
-        raise PositivityError("pressure", _first_bad_index(p <= 0.0), float(np.min(p)))
-    return PrimitiveFields(rho=rho, vel=vel, p=p, T=p / (rho * gas.R), beta=rho / (2.0 * p))
+    _require_admissible("density", rho)
+    _require_admissible("pressure", p)
+    return _fields(rho, vel, tuple(rho * c for c in vel), _speed_sq(vel), p, gas)
+
+
+@dataclass(frozen=True)
+class FaceState:
+    """The face bundle of one set of faces normal to ``axis``.
+
+    Holds the primitive states on both sides and the face means every
+    flux, diffusion coefficient and diagnostic reads, each computed once:
+    arithmetic and log means of rho and beta (with their jumps), the
+    velocity means and the face pressure mean(rho) / (2 mean(beta)).
+    """
+
+    axis: int
+    left: PrimitiveFields
+    right: PrimitiveFields
+    rho: PairMeans
+    beta: PairMeans
+    vel_bar: tuple
+    p_face: np.ndarray
+
+
+def face_means(axis, left, right):
+    """Build the :class:`FaceState` of faces with ``left``/``right`` states."""
+    rho = pair_means(left.rho, right.rho, left.log_rho, right.log_rho)
+    beta = pair_means(left.beta, right.beta, left.log_beta, right.log_beta)
+    return FaceState(
+        axis=axis, left=left, right=right, rho=rho, beta=beta,
+        vel_bar=tuple(arith_mean(l, r) for l, r in zip(left.vel, right.vel)),
+        p_face=rho.bar / (2.0 * beta.bar),
+    )
 
 
 def conserved_from_primitives(rho, vel, p, gas):
@@ -158,7 +222,7 @@ def conserved_from_primitives(rho, vel, p, gas):
 
 def specific_entropy(prim, gas):
     """s = log(p / rho^gamma)."""
-    return np.log(prim.p) - gas.gamma * np.log(prim.rho)
+    return np.log(prim.p) - gas.gamma * prim.log_rho
 
 
 def entropy_variables(prim, gas):
@@ -190,13 +254,12 @@ def entropy_quantities(prim, gas):
     s = specific_entropy(prim, gas)
     gm1 = gas.gamma - 1.0
     U = -prim.rho * s / gm1
-    momenta = tuple(prim.rho * c for c in prim.vel)
-    F = tuple(-m * s / gm1 for m in momenta)
-    return EntropyQuantities(s=s, U=U, F=F, w=entropy_variables(prim, gas), psi=momenta)
+    F = tuple(-m * s / gm1 for m in prim.momenta)
+    return EntropyQuantities(s=s, U=U, F=F, w=entropy_variables(prim, gas), psi=prim.momenta)
 
 
-def delta_w(left, right, gas):
-    """Jump of the entropy variables across a face, built from face means.
+def delta_w(face, gas):
+    """Jump of the entropy variables across the faces of a :class:`FaceState`.
 
     Equals entropy_variables(right) - entropy_variables(left) identically
     (the log means turn the entropy-log jumps into algebraic quotients);
@@ -204,17 +267,15 @@ def delta_w(left, right, gas):
     in the entropy estimate.
     """
     gm1 = gas.gamma - 1.0
-    d_rho = right.rho - left.rho
-    d_beta = right.beta - left.beta
-    rho_log = log_mean(left.rho, right.rho)
-    beta_log = log_mean(left.beta, right.beta)
-    beta_bar = arith_mean(left.beta, right.beta)
+    left, right = face.left, face.right
+    d_rho = face.rho.jump
+    d_beta = face.beta.jump
+    beta_bar = face.beta.bar
 
     speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
-    w1 = d_rho / rho_log + (1.0 / (gm1 * beta_log) - speed_sq_bar) * d_beta
+    w1 = d_rho / face.rho.ln + (1.0 / (gm1 * face.beta.ln) - speed_sq_bar) * d_beta
     momentum_rows = []
-    for ul, ur in zip(left.vel, right.vel):
-        u_bar = arith_mean(ul, ur)
+    for ul, ur, u_bar in zip(left.vel, right.vel, face.vel_bar):
         w1 = w1 - 2.0 * u_bar * beta_bar * (ur - ul)
         momentum_rows.append(2.0 * beta_bar * (ur - ul) + 2.0 * u_bar * d_beta)
     return np.stack([w1, *momentum_rows, -2.0 * d_beta])

@@ -11,10 +11,12 @@ forward-Euler substeps), written in increment form
 
 A positivity fault in any stage (or in the final state) rejects the step;
 the controller retries with dt/2 up to a bounded number of times and
-aborts the run if that fails.
+aborts the run if that fails.  k1 does not depend on dt, so the controller
+evaluates it once per step, derives dt from the same primitives and face
+diffusion coefficients, and reuses k1 across rejections.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +60,28 @@ class RunAbort(Exception):
         super().__init__(message)
 
 
+def _step_limit(prim, tilde_nu_max, grid, gas, params):
+    """CFL-scaled step from primitives and the per-axis largest tilde-nu."""
+    sound = np.sqrt(gas.gamma * gas.R * prim.T)
+    dt_conv = np.inf
+    diff_max = 0.0
+    h_min = np.inf
+    for ax, coeff_max in zip(grid.active_axes, tilde_nu_max):
+        h = grid.spacing[ax]
+        h_min = min(h_min, h)
+        wave = np.max(np.abs(prim.vel[ax]) + sound)
+        dt_conv = min(dt_conv, h / wave)
+        diff_max = max(diff_max, coeff_max)
+    if gas.kappa_r > 0.0:
+        rad = 4.0 * gas.kappa_r * prim.T ** 3 / (gas.c_v * prim.rho)
+        diff_max = max(diff_max, float(np.max(rad)))
+
+    dt = dt_conv
+    if diff_max > 0.0:
+        dt = min(dt, h_min * h_min / (2.0 * grid.ndim_active * diff_max))
+    return params.cfl * dt
+
+
 def stable_dt(u5, grid, gas, params):
     """Largest stable explicit step, scaled by the CFL number.
 
@@ -67,34 +91,21 @@ def stable_dt(u5, grid, gas, params):
     4 kappa_r T^3 / (c_v rho).
     """
     prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    sound = np.sqrt(gas.gamma * gas.R * prim.T)
-    dim = grid.ndim_active
-
-    dt_conv = np.inf
-    diff_max = 0.0
-    h_min = np.inf
-    for ax in grid.active_axes:
-        h = grid.spacing[ax]
-        h_min = min(h_min, h)
-        wave = np.max(np.abs(prim.vel[ax]) + sound)
-        dt_conv = min(dt_conv, h / wave)
-        left, right = face_states(prim, ax)
-        coeffs = diffusion_coeffs(ax, left, right, h, params.lambda_variant, gas)
-        if coeffs.tilde_nu.size:
-            diff_max = max(diff_max, float(np.max(coeffs.tilde_nu)))
-    if gas.kappa_r > 0.0:
-        rad = 4.0 * gas.kappa_r * prim.T ** 3 / (gas.c_v * prim.rho)
-        diff_max = max(diff_max, float(np.max(rad)))
-
-    dt = dt_conv
-    if diff_max > 0.0:
-        dt = min(dt, h_min * h_min / (2.0 * dim * diff_max))
-    return params.cfl * dt
+    tilde_nu_max = [
+        float(np.max(diffusion_coeffs(face_states(prim, ax), grid.spacing[ax],
+                                      params.lambda_variant, gas).tilde_nu))
+        for ax in grid.active_axes
+    ]
+    return _step_limit(prim, tilde_nu_max, grid, gas, params)
 
 
-def ssprk3_step(u, dt, t, rhs):
-    """One SSP-RK3 step of du/dt = rhs(u, t); pure function of the inputs."""
-    k1 = rhs(u, t)
+def ssprk3_step(u, dt, t, rhs, k1=None):
+    """One SSP-RK3 step of du/dt = rhs(u, t); pure function of the inputs.
+
+    ``k1``, if given, is rhs(u, t) evaluated beforehand.
+    """
+    if k1 is None:
+        k1 = rhs(u, t)
     u1 = u + dt * k1
     k2 = rhs(u1, t + dt)
     u2 = u + (0.25 * dt) * (k1 + k2)
@@ -112,21 +123,32 @@ class StepController:
         self.source = source
         self.rejections = 0
 
-    def _rhs(self, u, t):
+    def _rhs(self, u, t, prim=None, tilde_nu_max=None):
         return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant,
-                            source=self.source, t=t)
+                            source=self.source, t=t, prim=prim, tilde_nu_max=tilde_nu_max)
 
-    def attempt_step(self, u, t, dt):
+    def first_stage(self, u, t, prim):
+        """k1 = L(u, t) and :func:`stable_dt` of ``u``, both from the
+        primitives ``prim`` of ``u`` and the same face bundles."""
+        tilde_nu_max = []
+        k1 = self._rhs(u, t, prim=prim, tilde_nu_max=tilde_nu_max)
+        return k1, _step_limit(prim, tilde_nu_max, self.grid, self.gas, self.params)
+
+    def attempt_step(self, u, t, dt, k1=None):
         """Advance one step, halving dt on positivity faults.
 
-        Returns (u_new, dt_used).  Raises :class:`RunAbort` when the step
-        cannot be completed within the rejection budget.
+        ``k1``, the tendency at (u, t) if known, is reused by every retry.
+        Returns (u_new, dt_used, primitives of u_new).  Raises
+        :class:`RunAbort` when the step cannot be completed within the
+        rejection budget, :class:`PositivityError` when ``u`` is not
+        admissible.
         """
+        if k1 is None:
+            k1 = self._rhs(u, t)
         for _ in range(self.params.max_rejects + 1):
             try:
-                u_new = ssprk3_step(u, dt, t, self._rhs)
-                primitives_from_conserved(u_new, self.gas)  # validate final state
-                return u_new, dt
+                u_new = ssprk3_step(u, dt, t, self._rhs, k1=k1)
+                return u_new, dt, primitives_from_conserved(u_new, self.gas)
             except PositivityError:
                 self.rejections += 1
                 dt *= 0.5
@@ -134,17 +156,14 @@ class StepController:
                     break
         raise RunAbort(f"positivity could not be restored at t = {t:.6g}", t, u)
 
-    def advance(self, u, t, t_end, on_step=None, max_steps=None, fixed_dt=None):
+    def advance(self, u, t, t_end, on_step=None):
         """Run to t_end; ``on_step(u, t, dt)`` fires after each accepted step."""
-        steps = 0
+        prim = primitives_from_conserved(u, self.gas)
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-            dt = fixed_dt if fixed_dt is not None else stable_dt(u, self.grid, self.gas, self.params)
-            dt = min(dt, t_end - t)
-            u, dt_used = self.attempt_step(u, t, dt)
+            k1, dt = self.first_stage(u, t, prim)
+            del prim  # the later stages do not read it; free it while they run
+            u, dt_used, prim = self.attempt_step(u, t, min(dt, t_end - t), k1=k1)
             t += dt_used
-            steps += 1
             if on_step is not None:
                 on_step(u, t, dt_used)
-            if max_steps is not None and steps >= max_steps:
-                break
         return u, t

@@ -16,29 +16,40 @@ from .diagnostics import (
 )
 from .fluxes import LambdaVariant, convective_flux, density_jump_sensor, lambda_alt_coeffs
 from .grid import build_grid, sbp_residual
-from .means import arith_mean, geo_mean, log_mean
+from .means import arith_mean, geo_mean, log_mean, pair_means
 from .rhs import apply_boundary_state, assemble_rhs, boundary_node_mask
-from .thermo import GasParams, conserved_from_primitives, primitives
+from .thermo import GasParams, conserved_from_primitives, face_means, primitives
 
 __all__ = ["random_states", "random_admissible_field", "run_verification"]
 
 
-def random_states(rng, n, gas, rho_range=(1e-3, 1e3), temp_range=(1e-3, 1e3), vel_max=10.0):
-    """Random admissible primitive states as one batch array."""
-    rho = np.exp(rng.uniform(np.log(rho_range[0]), np.log(rho_range[1]), n))
-    temp = np.exp(rng.uniform(np.log(temp_range[0]), np.log(temp_range[1]), n))
-    vel = tuple(rng.uniform(-vel_max, vel_max, n) for _ in range(3))
-    return primitives(rho, vel, rho * gas.R * temp, gas)
+_RHO_RANGE = (1e-3, 1e3)
+_TEMP_RANGE = (1e-3, 1e3)
+_VEL_MAX = 10.0
+
+# Pairs per face bundle in the million-pair sweep: a bundle of all pairs
+# at once would set the sweep's peak memory.
+_CHUNK = 10**5
 
 
-def random_admissible_field(rng, grid, gas, rho_range=(1e-3, 1e3), temp_range=(1e-3, 1e3), vel_max=10.0):
-    """Random conserved field with positive state and no-slip walls."""
-    shape = grid.shape
+def _draw_states(rng, shape, gas, rho_range=_RHO_RANGE, temp_range=_TEMP_RANGE, vel_max=_VEL_MAX):
+    """(rho, velocity, p) sampled over the admissible ranges."""
     rho = np.exp(rng.uniform(np.log(rho_range[0]), np.log(rho_range[1]), shape))
     temp = np.exp(rng.uniform(np.log(temp_range[0]), np.log(temp_range[1]), shape))
     vel = tuple(rng.uniform(-vel_max, vel_max, shape) for _ in range(3))
-    u5 = conserved_from_primitives(rho, vel, rho * gas.R * temp, gas)
-    return apply_boundary_state(u5, grid)
+    return rho, vel, rho * gas.R * temp
+
+
+def random_states(rng, n, gas, rho_range=_RHO_RANGE, temp_range=_TEMP_RANGE, vel_max=_VEL_MAX):
+    """Random admissible primitive states as one batch array."""
+    return primitives(*_draw_states(rng, n, gas, rho_range, temp_range, vel_max), gas)
+
+
+def random_admissible_field(rng, grid, gas, rho_range=_RHO_RANGE, temp_range=_TEMP_RANGE,
+                            vel_max=_VEL_MAX):
+    """Random conserved field with positive state and no-slip walls."""
+    rho, vel, p = _draw_states(rng, grid.shape, gas, rho_range, temp_range, vel_max)
+    return apply_boundary_state(conserved_from_primitives(rho, vel, p, gas), grid)
 
 
 class _Report:
@@ -63,7 +74,25 @@ def run_verification(seed=0, fast=False):
     rep = _Report()
     print(f"gasbox verification sweep (seed={seed}, pairs={n_pairs})")
 
-    # mean algebra on pairs spanning ratios 1e-6..1e6
+    # one function per group of checks, so each group's million-pair
+    # arrays are freed before the next group draws its own
+    _check_means(rep, rng, n_pairs)
+    _check_flux_consistency(rep, rng, gas, n_pairs if fast else 10**4)
+    _check_mass_flux_coefficients(rep, rng, gas, n_pairs)
+    _check_shuffle_gaps(rep, rng, gas, n_shuffle)
+    _check_field_identities(rep, rng, gas, 3 if fast else 10)
+    _check_sbp(rep, rng, 100 if fast else 1000)
+
+    if rep.failures:
+        print(f"verification FAILED: {rep.failures} check(s)")
+        return False
+    print("verification passed")
+    return True
+
+
+def _check_means(rep, rng, n_pairs):
+    """Mean algebra on pairs spanning ratios 1e-6..1e6, the sensor bounds
+    and the product-average splitting identity."""
     a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n_pairs))
     ratio = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n_pairs))
     b = a * ratio
@@ -74,8 +103,8 @@ def run_verification(seed=0, fast=False):
     nz = a != b
     half = np.abs(am - lm)[nz] / np.abs(b - a)[nz]
     rep.check("mean-vs-logmean jump ratio bounded by 1/2", float(np.max(half)), 0.5 + 1e-12)
-    rep.check("sensor dominates 1/2", float(np.min(density_jump_sensor(a, b, LambdaVariant.FIRST_ORDER))),
-              0.5, larger_is_worse=False)
+    sensor = density_jump_sensor(pair_means(a, b, np.log(a), np.log(b)), LambdaVariant.FIRST_ORDER)
+    rep.check("sensor dominates 1/2", float(np.min(sensor)), 0.5, larger_is_worse=False)
     dominated = np.maximum.reduce([
         np.full(n_pairs, 0.5),
         np.abs(b - a) / (12.0 * am),
@@ -83,7 +112,6 @@ def run_verification(seed=0, fast=False):
         0.5 * am * np.abs(b - a) / (a * a + a * b + b * b),
         np.abs(b - a) / lm,
     ])
-    sensor = density_jump_sensor(a, b, LambdaVariant.FIRST_ORDER)
     rep.check("sensor dominates all alternative jump ratios",
               float(np.max((dominated - sensor) / np.maximum(1.0, sensor))), 1e-14)
 
@@ -99,11 +127,13 @@ def run_verification(seed=0, fast=False):
                                np.abs(0.25 * (sb - sa) * (tb - ta))])
     rep.check("product-average splitting identity", float(np.max(np.abs(lhs - rhs) / scale)), 1e-15)
 
-    # flux consistency at equal states
-    states = random_states(rng, n_pairs if fast else 10**4, gas)
+
+def _check_flux_consistency(rep, rng, gas, n_states):
+    """Two-point flux consistency at equal states."""
+    states = random_states(rng, n_states, gas)
     worst = 0.0
     for ax in range(3):
-        flux = convective_flux(ax, states, states, gas)
+        flux = convective_flux(face_means(ax, states, states), gas)
         un = states.vel[ax]
         exact = np.stack([
             states.rho * un,
@@ -116,31 +146,39 @@ def run_verification(seed=0, fast=False):
         worst = max(worst, float(np.max(np.abs(flux - exact) / scale)))
     rep.check("two-point flux consistency at equal states", worst, 1e-13)
 
-    # positivity of the rewritten mass-flux coefficients
-    left = random_states(rng, n_pairs, gas)
-    right = random_states(rng, n_pairs, gas)
+
+def _check_mass_flux_coefficients(rep, rng, gas, n_pairs):
+    """Positivity of the rewritten mass-flux coefficients."""
+    left = _draw_states(rng, n_pairs, gas)
+    right = _draw_states(rng, n_pairs, gas)
     worst_a = worst_c = np.inf
-    for variant in LambdaVariant:
-        lam_a, lam_c = lambda_alt_coeffs(0, left, right, variant)
-        worst_a = min(worst_a, float(np.min(lam_a)))
-        worst_c = min(worst_c, float(np.min(lam_c)))
+    for lo in range(0, n_pairs, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        faces = face_means(0, *(primitives(rho[chunk], tuple(c[chunk] for c in vel), p[chunk], gas)
+                                for rho, vel, p in (left, right)))
+        for variant in LambdaVariant:
+            lam_a, lam_c = lambda_alt_coeffs(faces, variant, gas)
+            worst_a = min(worst_a, float(np.min(lam_a)))
+            worst_c = min(worst_c, float(np.min(lam_c)))
     rep.check("rewritten coefficient (arith form) nonnegative", worst_a, -1e-15, larger_is_worse=False)
     rep.check("rewritten coefficient (geo form) nonnegative", worst_c, -1e-15, larger_is_worse=False)
 
-    # shuffle gaps
+
+def _check_shuffle_gaps(rep, rng, gas, n_shuffle):
+    """Face entropy inequality on random pairs, both sensors."""
     for variant in LambdaVariant:
         worst = np.inf
         for ax in range(3):
-            lhs_states = random_states(rng, n_shuffle, gas)
-            rhs_states = random_states(rng, n_shuffle, gas)
-            gap, scale = shuffle_gap_and_scale(ax, lhs_states, rhs_states, variant, gas)
+            faces = face_means(ax, random_states(rng, n_shuffle, gas), random_states(rng, n_shuffle, gas))
+            gap, scale = shuffle_gap_and_scale(faces, variant, gas)
             worst = min(worst, float(np.min(gap / scale)))
         rep.check(f"face entropy inequality gap ({variant.value})", worst, -1e-12, larger_is_worse=False)
 
-    # field-level identities
+
+def _check_field_identities(rep, rng, gas, fields):
+    """Balance identities and conservation on random admissible fields."""
     worst_ke = worst_ie = worst_ent = 0.0
     worst_cons = 0.0
-    fields = 3 if fast else 10
     for n in (4, 8):
         grid = build_grid((n, n, n))
         for _ in range(fields):
@@ -164,10 +202,12 @@ def run_verification(seed=0, fast=False):
     rep.check("entropy balance residual / sign", worst_ent, 1e-10)
     rep.check("mass/energy tendency totals / wall momentum rows", worst_cons, 1e-13)
 
-    # summation-by-parts identity
+
+def _check_sbp(rep, rng, samples):
+    """Summation-by-parts identity on random nodal and face fields."""
     grid = build_grid((8, 8, 8))
     worst = 0.0
-    for _ in range(100 if fast else 1000):
+    for _ in range(samples):
         a = rng.uniform(1.0, 2.0, grid.shape)
         for ax in range(3):
             shape = list(grid.shape)
@@ -176,9 +216,3 @@ def run_verification(seed=0, fast=False):
             scale = float(np.max(np.abs(a)) * np.max(np.abs(b)) * grid.shape[ax]) * grid.shape[0] ** 2
             worst = max(worst, sbp_residual(a, b, grid, ax) / scale)
     rep.check("summation-by-parts identity residual", worst, 1e-13)
-
-    if rep.failures:
-        print(f"verification FAILED: {rep.failures} check(s)")
-        return False
-    print("verification passed")
-    return True

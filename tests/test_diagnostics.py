@@ -19,7 +19,13 @@ from gasbox.diagnostics import (
 )
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
-from gasbox.thermo import GasParams, conserved_from_primitives, primitives, primitives_from_conserved
+from gasbox.thermo import (
+    GasParams,
+    conserved_from_primitives,
+    face_means,
+    primitives,
+    primitives_from_conserved,
+)
 from gasbox.verify import random_admissible_field, random_states
 
 
@@ -113,7 +119,7 @@ class TestInternalEnergyBalance:
 class TestShuffleGap:
     def test_identical_states(self, gas):
         q = random_states(np.random.default_rng(0), 100, gas)
-        gap = shuffle_gap(0, q, q, LambdaVariant.FIRST_ORDER, gas)
+        gap = shuffle_gap(face_means(0, q, q), LambdaVariant.FIRST_ORDER, gas)
         assert np.all(gap == 0.0)
 
     def test_pure_density_jump_at_rest_is_the_equality_case(self, inviscid_gas):
@@ -121,14 +127,14 @@ class TestShuffleGap:
         # face inequality is satisfied with gap exactly 0
         left = primitives(np.array([1.0]), (np.zeros(1),) * 3, np.array([1.0]), inviscid_gas)
         right = primitives(np.array([2.0]), (np.zeros(1),) * 3, np.array([2.0]), inviscid_gas)
-        gap = shuffle_gap(0, left, right, LambdaVariant.FIRST_ORDER, inviscid_gas)
+        gap = shuffle_gap(face_means(0, left, right), LambdaVariant.FIRST_ORDER, inviscid_gas)
         assert gap[0] == 0.0
 
     def test_moving_density_jump_dissipates_strictly(self, inviscid_gas):
         one = np.ones(1)
         left = primitives(np.array([1.0]), (one, 0 * one, 0 * one), np.array([1.0]), inviscid_gas)
         right = primitives(np.array([2.0]), (one, 0 * one, 0 * one), np.array([2.0]), inviscid_gas)
-        gap = shuffle_gap(0, left, right, LambdaVariant.FIRST_ORDER, inviscid_gas)
+        gap = shuffle_gap(face_means(0, left, right), LambdaVariant.FIRST_ORDER, inviscid_gas)
         assert gap[0] > 0.0
 
     @pytest.mark.parametrize("variant", list(LambdaVariant))
@@ -136,7 +142,7 @@ class TestShuffleGap:
         for ax in range(3):
             left = random_states(rng, 10**4, gas)
             right = random_states(rng, 10**4, gas)
-            gap, scale = shuffle_gap_and_scale(ax, left, right, variant, gas)
+            gap, scale = shuffle_gap_and_scale(face_means(ax, left, right), variant, gas)
             assert float(np.min(gap / scale)) >= -1e-12
 
 
@@ -156,7 +162,7 @@ class TestEntropyDissipation:
     def test_per_face_terms_nonnegative(self, rng, gas):
         left = random_states(rng, 10**5, gas)
         right = random_states(rng, 10**5, gas)
-        bracket, radiation = _dissipation_bracket(0, left, right, 0.1, gas)
+        bracket, radiation = _dissipation_bracket(face_means(0, left, right), 0.1, gas)
         assert np.min(bracket) >= 0.0
         assert np.min(radiation) >= 0.0
 

@@ -6,17 +6,17 @@ from gasbox.fluxes import (
     DiffusionCoeffs,
     LambdaVariant,
     _mean_logmean_jump_ratio,
+    _gradient_vector,
+    _radiation_row,
     convective_flux,
     density_jump_sensor,
     diffusion_coeffs,
-    diffusive_flux,
     frak_p,
     lambda_alt_coeffs,
-    lambda_coeff,
     split_diffusive_flux,
 )
-from gasbox.means import arith_mean, log_mean
-from gasbox.thermo import GasParams, primitives
+from gasbox.means import arith_mean, log_mean, pair_means
+from gasbox.thermo import GasParams, face_means, primitives
 
 
 def make_states(gas, rho, vel, p):
@@ -24,6 +24,14 @@ def make_states(gas, rho, vel, p):
     vel = tuple(np.broadcast_to(np.asarray(c, dtype=float), rho.shape) for c in vel)
     p = np.broadcast_to(np.asarray(p, dtype=float), rho.shape)
     return primitives(rho, vel, p, gas)
+
+
+def density_pairs(a, b):
+    return pair_means(a, b, np.log(a), np.log(b))
+
+
+def lambda_face(axis, left, right, variant, gas):
+    return diffusion_coeffs(face_means(axis, left, right), 1.0, variant, gas).lambda_face
 
 
 def random_states(rng, n, gas, vel_max=10.0):
@@ -50,7 +58,7 @@ class TestConvectiveFlux:
     def test_rest_state_only_pressure(self, inviscid_gas):
         q = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         for ax in range(3):
-            f = convective_flux(ax, q, q, inviscid_gas)
+            f = convective_flux(face_means(ax, q, q), inviscid_gas)
             expected = np.zeros(5)
             expected[ax + 1] = 1.0
             assert np.allclose(f[:, 0], expected, atol=1e-15)
@@ -58,13 +66,13 @@ class TestConvectiveFlux:
     def test_equal_states_hand_value(self, inviscid_gas):
         # rho = u = p = 1, gamma = 1.4: exact flux (1, 2, 0, 0, 4) with E = 3
         q = make_states(inviscid_gas, 1.0, (1.0, 0.0, 0.0), 1.0)
-        f = convective_flux(0, q, q, inviscid_gas)
+        f = convective_flux(face_means(0, q, q), inviscid_gas)
         assert np.allclose(f[:, 0], [1.0, 2.0, 0.0, 0.0, 4.0], rtol=1e-14)
 
     def test_consistency_with_exact_flux(self, rng, inviscid_gas):
         q = random_states(rng, 10**4, inviscid_gas)
         for ax in range(3):
-            f = convective_flux(ax, q, q, inviscid_gas)
+            f = convective_flux(face_means(ax, q, q), inviscid_gas)
             ref = exact_flux(ax, q, inviscid_gas)
             scale = np.maximum(1.0, np.abs(ref))
             assert np.max(np.abs(f - ref) / scale) <= 1e-13
@@ -74,8 +82,8 @@ class TestConvectiveFlux:
         right = random_states(rng, 10**3, inviscid_gas)
         flipped_l = primitives(left.rho, tuple(-c for c in left.vel), left.p, inviscid_gas)
         flipped_r = primitives(right.rho, tuple(-c for c in right.vel), right.p, inviscid_gas)
-        f = convective_flux(0, left, right, inviscid_gas)
-        g = convective_flux(0, flipped_l, flipped_r, inviscid_gas)
+        f = convective_flux(face_means(0, left, right), inviscid_gas)
+        g = convective_flux(face_means(0, flipped_l, flipped_r), inviscid_gas)
         scale = np.maximum(1.0, np.max(np.abs(f), axis=0))
         # mass and energy rows flip sign, momentum rows are unchanged
         assert np.max(np.abs(g[0] + f[0]) / scale) <= 1e-14
@@ -87,9 +95,9 @@ class TestConvectiveFlux:
         # the y-face flux is the x-face flux of the velocity-rotated state
         left = random_states(rng, 10**3, inviscid_gas)
         right = random_states(rng, 10**3, inviscid_gas)
-        f_y = convective_flux(1, left, right, inviscid_gas)
+        f_y = convective_flux(face_means(1, left, right), inviscid_gas)
         rot = lambda s: primitives(s.rho, (s.vel[1], s.vel[2], s.vel[0]), s.p, inviscid_gas)
-        f_x = convective_flux(0, rot(left), rot(right), inviscid_gas)
+        f_x = convective_flux(face_means(0, rot(left), rot(right)), inviscid_gas)
         assert np.array_equal(f_y[0], f_x[0])
         assert np.array_equal(f_y[2], f_x[1])  # normal rows
         assert np.array_equal(f_y[3], f_x[2])
@@ -106,26 +114,26 @@ class TestConvectiveFlux:
 class TestSensorsAndLambda:
     def test_equal_density_moving(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (2.0, 0.0, 0.0), 1.0)
-        assert lambda_coeff(0, left, left, LambdaVariant.FIRST_ORDER) == pytest.approx(1.0)
+        assert lambda_face(0, left, left, LambdaVariant.FIRST_ORDER, inviscid_gas) == pytest.approx(1.0)
 
     def test_rest_state(self, inviscid_gas):
         q = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         for variant in LambdaVariant:
-            assert lambda_coeff(0, q, q, variant) == 0.0
+            assert lambda_face(0, q, q, variant, inviscid_gas) == 0.0
 
     def test_log_density_jump_dominates_floor(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (1.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, np.e, (1.0, 0.0, 0.0), 1.0)
-        lam = lambda_coeff(0, left, right, LambdaVariant.FIRST_ORDER)
+        lam = lambda_face(0, left, right, LambdaVariant.FIRST_ORDER, inviscid_gas)
         assert lam == pytest.approx(1.0, rel=1e-14)  # |u|*max(1/2, 1) + 0
 
     def test_normal_component_selects_axis(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (2.0, 4.0, 6.0), 1.0)
         for ax, expected in zip(range(3), (1.0, 2.0, 3.0)):
-            assert lambda_coeff(ax, left, left, LambdaVariant.FIRST_ORDER) == pytest.approx(expected)
+            assert lambda_face(ax, left, left, LambdaVariant.FIRST_ORDER, inviscid_gas) == pytest.approx(expected)
 
     def test_floorless_sensor_vanishes_at_equal_density(self):
-        assert density_jump_sensor(2.0, 2.0, LambdaVariant.SECOND_ORDER) == 0.0
+        assert density_jump_sensor(density_pairs(2.0, 2.0), LambdaVariant.SECOND_ORDER) == 0.0
 
     @pytest.mark.parametrize("zeta_exp", range(1, 15))
     def test_jump_ratio_series_against_high_precision(self, zeta_exp):
@@ -142,7 +150,7 @@ class TestSensorsAndLambda:
             a, b = mpmath.mpf(rho_l), mpmath.mpf(rho_r)
             logmean = (b - a) / (mpmath.log(b) - mpmath.log(a))
             ref = float(((a + b) / 2 - logmean) / (b - a))
-        got = float(_mean_logmean_jump_ratio(rho_l, rho_r))
+        got = float(_mean_logmean_jump_ratio(density_pairs(rho_l, rho_r)))
         eps = np.finfo(float).eps
         tol = 1e-14 if zeta < 1e-2 else 30.0 * eps / zeta ** 2
         assert abs(got - ref) <= tol * abs(ref)
@@ -150,7 +158,7 @@ class TestSensorsAndLambda:
     def test_jump_ratio_sign_and_bound(self, rng):
         a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 10**5))
         b = a * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 10**5))
-        ratio = _mean_logmean_jump_ratio(a, b)
+        ratio = _mean_logmean_jump_ratio(density_pairs(a, b))
         assert np.all(np.sign(ratio) == np.sign(b - a))
         assert np.max(np.abs(ratio)) <= 0.5 + 1e-12
 
@@ -159,7 +167,7 @@ class TestSensorsAndLambda:
         n = 10**5
         a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
         b = a * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n))
-        sensor = density_jump_sensor(a, b, LambdaVariant.FIRST_ORDER)
+        sensor = density_jump_sensor(density_pairs(a, b), LambdaVariant.FIRST_ORDER)
         am, lm = arith_mean(a, b), log_mean(a, b)
         alternatives = np.maximum.reduce([
             np.full(n, 0.5),
@@ -173,15 +181,16 @@ class TestSensorsAndLambda:
     def test_floor_sensor_dominates_floorless(self, rng, inviscid_gas):
         left = random_states(rng, 10**5, inviscid_gas)
         right = random_states(rng, 10**5, inviscid_gas)
-        first = density_jump_sensor(left.rho, right.rho, LambdaVariant.FIRST_ORDER)
-        second = density_jump_sensor(left.rho, right.rho, LambdaVariant.SECOND_ORDER)
+        rho = face_means(0, left, right).rho
+        first = density_jump_sensor(rho, LambdaVariant.FIRST_ORDER)
+        second = density_jump_sensor(rho, LambdaVariant.SECOND_ORDER)
         assert np.all(second <= first * (1.0 + 1e-14))
 
     def test_alt_coefficients_nonnegative(self, rng, inviscid_gas):
         left = random_states(rng, 10**5, inviscid_gas)
         right = random_states(rng, 10**5, inviscid_gas)
         for variant in LambdaVariant:
-            lam_a, lam_c = lambda_alt_coeffs(0, left, right, variant)
+            lam_a, lam_c = lambda_alt_coeffs(face_means(0, left, right), variant, inviscid_gas)
             assert np.min(lam_a) >= -1e-15
             assert np.min(lam_c) >= -1e-15
 
@@ -190,8 +199,9 @@ class TestSensorsAndLambda:
         #                             = geomean(rho) mean(u) - lam_c jump(rho)
         left = random_states(rng, 10**4, inviscid_gas)
         right = random_states(rng, 10**4, inviscid_gas)
-        lam = lambda_coeff(0, left, right, LambdaVariant.FIRST_ORDER)
-        lam_a, lam_c = lambda_alt_coeffs(0, left, right, LambdaVariant.FIRST_ORDER)
+        lam = lambda_face(0, left, right, LambdaVariant.FIRST_ORDER, inviscid_gas)
+        lam_a, lam_c = lambda_alt_coeffs(face_means(0, left, right), LambdaVariant.FIRST_ORDER,
+                                         inviscid_gas)
         d_rho = right.rho - left.rho
         u_bar = arith_mean(left.vel[0], right.vel[0])
         rho_u_mean = arith_mean(left.rho * left.vel[0], right.rho * right.vel[0])
@@ -208,7 +218,7 @@ class TestDiffusionCoeffs:
     def test_equal_density(self, inviscid_gas):
         gas = GasParams(gamma=1.4, R=1.0, mu0=1.0, mu1=0.01)
         q = make_states(gas, 2.0, (0.0, 0.0, 0.0), 1.0)
-        c = diffusion_coeffs(0, q, q, 0.1, LambdaVariant.FIRST_ORDER, gas)
+        c = diffusion_coeffs(face_means(0, q, q), 0.1, LambdaVariant.FIRST_ORDER, gas)
         assert c.nu_face[0] == pytest.approx(0.52, rel=1e-14)
         assert c.lambda_face[0] == 0.0
         assert c.tilde_nu[0] == c.nu_face[0]
@@ -217,13 +227,13 @@ class TestDiffusionCoeffs:
         gas = GasParams(gamma=1.4, R=1.0, mu0=1.0, mu1=0.0)
         left = make_states(gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(gas, np.e, (0.0, 0.0, 0.0), 1.0)
-        c = diffusion_coeffs(0, left, right, 0.1, LambdaVariant.FIRST_ORDER, gas)
+        c = diffusion_coeffs(face_means(0, left, right), 0.1, LambdaVariant.FIRST_ORDER, gas)
         assert c.nu_face[0] == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14)
 
     def test_combined_exceeds_physical(self, rng, gas):
         left = random_states(rng, 10**4, gas)
         right = random_states(rng, 10**4, gas)
-        c = diffusion_coeffs(0, left, right, 0.05, LambdaVariant.FIRST_ORDER, gas)
+        c = diffusion_coeffs(face_means(0, left, right), 0.05, LambdaVariant.FIRST_ORDER, gas)
         assert np.all(c.nu_face > 0.0)
         assert np.all(c.lambda_face >= 0.0)
         assert np.all(c.tilde_nu >= c.nu_face)
@@ -232,18 +242,18 @@ class TestDiffusionCoeffs:
 class TestPressureDiffusionScalar:
     def test_uniform_state(self, inviscid_gas):
         q = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
-        assert frak_p(q, q, 1.0, inviscid_gas)[0] == 0.0
+        assert frak_p(face_means(0, q, q), 1.0)[0] == 0.0
 
     def test_density_jump_uniform_temperature(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, 2.0, (0.0, 0.0, 0.0), 2.0)  # T = 1 both
-        assert frak_p(left, right, 1.0, inviscid_gas)[0] == pytest.approx(1.0, rel=1e-14)
+        assert frak_p(face_means(0, left, right), 1.0)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_temperature_jump_uniform_density(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)   # T = 1
         right = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 2.0)  # T = 2
         # (rho_bar/2) jump(1/beta) = (1/2)(2 R dT) = 1
-        assert frak_p(left, right, 1.0, inviscid_gas)[0] == pytest.approx(1.0, rel=1e-14)
+        assert frak_p(face_means(0, left, right), 1.0)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 class TestDiffusiveFlux:
@@ -254,7 +264,7 @@ class TestDiffusiveFlux:
 
     def test_identical_cells(self, gas):
         q = make_states(gas, 1.3, (0.2, -0.1, 0.4), 0.9)
-        f = diffusive_flux(0, q, q, self.unit_coeffs(), 0.25, gas)
+        f = split_diffusive_flux(face_means(0, q, q), self.unit_coeffs(), 0.25, gas)[0]
         assert np.all(f == 0.0)
 
     def test_density_jump_energy_row(self, inviscid_gas):
@@ -262,14 +272,14 @@ class TestDiffusiveFlux:
         # mass row 1, momentum 0, energy = R T / (gamma - 1) = 2.5
         left = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, 2.0, (0.0, 0.0, 0.0), 2.0)
-        f = diffusive_flux(0, left, right, self.unit_coeffs(), 1.0, inviscid_gas)
+        f = split_diffusive_flux(face_means(0, left, right), self.unit_coeffs(), 1.0, inviscid_gas)[0]
         assert np.allclose(f[:, 0], [1.0, 0.0, 0.0, 0.0, 2.5], rtol=1e-14)
 
     def test_temperature_jump_energy_row(self, inviscid_gas):
         # rho equal, T (1, 2): energy = rho_bar R dT / (gamma - 1) = 2.5 rho_bar
         left = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 2.0)
-        f = diffusive_flux(0, left, right, self.unit_coeffs(), 1.0, inviscid_gas)
+        f = split_diffusive_flux(face_means(0, left, right), self.unit_coeffs(), 1.0, inviscid_gas)[0]
         assert f[0, 0] == 0.0
         assert f[4, 0] == pytest.approx(2.5, rel=1e-14)
 
@@ -288,8 +298,9 @@ class TestSplitFlux:
     def test_zero_lambda_part_at_rest(self, gas):
         left = make_states(gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(gas, 2.0, (0.0, 0.0, 0.0), 2.5)
-        coeffs = diffusion_coeffs(0, left, right, 0.1, LambdaVariant.FIRST_ORDER, gas)
-        total, nu_part, lambda_part = split_diffusive_flux(0, left, right, coeffs, 0.1, gas)
+        face = face_means(0, left, right)
+        coeffs = diffusion_coeffs(face, 0.1, LambdaVariant.FIRST_ORDER, gas)
+        total, nu_part, lambda_part = split_diffusive_flux(face, coeffs, 0.1, gas)
         assert np.all(lambda_part == 0.0)
         assert np.array_equal(total, nu_part)
 
@@ -297,8 +308,9 @@ class TestSplitFlux:
         gas = GasParams(gamma=1.4, R=1.0, mu0=0.0, mu1=0.0, kappa_r=0.1)
         left = make_states(gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(gas, 1.0, (0.0, 0.0, 0.0), 2.0)
-        coeffs = diffusion_coeffs(0, left, right, 0.1, LambdaVariant.FIRST_ORDER, gas)
-        total, nu_part, lambda_part = split_diffusive_flux(0, left, right, coeffs, 0.1, gas)
+        face = face_means(0, left, right)
+        coeffs = diffusion_coeffs(face, 0.1, LambdaVariant.FIRST_ORDER, gas)
+        total, nu_part, lambda_part = split_diffusive_flux(face, coeffs, 0.1, gas)
         assert np.all(lambda_part == 0.0)
         assert nu_part[4, 0] == pytest.approx(0.1 * 15.0 / 0.1, rel=1e-14)  # kappa dT^4/h
         assert np.array_equal(total, nu_part + lambda_part)
@@ -306,16 +318,19 @@ class TestSplitFlux:
     def test_parts_sum_bitwise(self, rng, gas):
         left = random_states(rng, 10**4, gas)
         right = random_states(rng, 10**4, gas)
-        coeffs = diffusion_coeffs(0, left, right, 0.02, LambdaVariant.FIRST_ORDER, gas)
-        total, nu_part, lambda_part = split_diffusive_flux(0, left, right, coeffs, 0.02, gas)
+        face = face_means(0, left, right)
+        coeffs = diffusion_coeffs(face, 0.02, LambdaVariant.FIRST_ORDER, gas)
+        total, nu_part, lambda_part = split_diffusive_flux(face, coeffs, 0.02, gas)
         assert np.array_equal(total, nu_part + lambda_part)
 
     def test_split_matches_combined_evaluation(self, rng, gas):
         left = random_states(rng, 10**4, gas)
         right = random_states(rng, 10**4, gas)
-        coeffs = diffusion_coeffs(0, left, right, 0.02, LambdaVariant.FIRST_ORDER, gas)
-        total, _, _ = split_diffusive_flux(0, left, right, coeffs, 0.02, gas)
-        combined = diffusive_flux(0, left, right, coeffs, 0.02, gas)
+        face = face_means(0, left, right)
+        coeffs = diffusion_coeffs(face, 0.02, LambdaVariant.FIRST_ORDER, gas)
+        total, _, _ = split_diffusive_flux(face, coeffs, 0.02, gas)
+        combined = coeffs.tilde_nu * _gradient_vector(face, 0.02, gas)
+        combined[4] += _radiation_row(face, 0.02, gas)
         # (nu + h lam) G vs nu G + h lam G: a few ulp of reassociation
         scale = np.maximum(1.0, np.abs(combined))
         assert np.max(np.abs(total - combined) / scale) <= 1e-14

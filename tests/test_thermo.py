@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasbox.thermo import (
     GasParams,
@@ -8,6 +10,7 @@ from gasbox.thermo import (
     delta_w,
     entropy_quantities,
     entropy_variables,
+    face_means,
     primitives,
     primitives_from_conserved,
     specific_entropy,
@@ -93,6 +96,26 @@ class TestConversion:
         with pytest.raises(PositivityError) as err:
             primitives_from_conserved(u5, inviscid_gas)
         assert err.value.quantity == "pressure"
+
+    @settings(max_examples=200, deadline=None)
+    @given(component=st.integers(0, 4), cell=st.integers(0, 15),
+           bad=st.sampled_from([np.inf, -np.inf, np.nan]), seed=st.integers(0, 2**32 - 1))
+    def test_any_non_finite_entry_is_rejected(self, component, cell, bad, seed):
+        gas = GasParams(gamma=1.4, R=1.0, mu0=0.01, mu1=1e-4, kappa_r=1e-6)
+        prim = random_primitives(np.random.default_rng(seed), 16, gas)
+        u5 = conserved_from_primitives(prim.rho, prim.vel, prim.p, gas)
+        u5[component, cell] = bad
+        with pytest.raises(PositivityError) as err:
+            primitives_from_conserved(u5, gas)
+        assert err.value.index == (cell,)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_temperature_rejected(self, inviscid_gas):
+        # finite rho and p whose ratio overflows: T = inf, beta = 0
+        u5 = np.array([1e-300, 0.0, 0.0, 0.0, 1e300]).reshape(5, 1)
+        with pytest.raises(PositivityError) as err:
+            primitives_from_conserved(u5, inviscid_gas)
+        assert err.value.quantity == "temperature"
 
 
 class TestEntropyQuantities:
@@ -190,13 +213,13 @@ class TestEntropyQuantities:
 class TestDeltaW:
     def test_identical_states(self, rng, gas):
         prim = random_primitives(rng, 100, gas)
-        dw = delta_w(prim, prim, gas)
+        dw = delta_w(face_means(0, prim, prim), gas)
         assert np.all(dw == 0.0)
 
     def test_matches_direct_difference(self, rng, gas):
         left = random_primitives(rng, 10**5, gas)
         right = random_primitives(rng, 10**5, gas)
-        dw = delta_w(left, right, gas)
+        dw = delta_w(face_means(0, left, right), gas)
         direct = entropy_variables(right, gas) - entropy_variables(left, gas)
         scale = np.maximum(1.0, np.maximum(
             np.max(np.abs(entropy_variables(left, gas)), axis=0),
@@ -206,5 +229,5 @@ class TestDeltaW:
     def test_last_component_is_beta_jump(self, inviscid_gas):
         left = primitives(np.array([1.0]), (np.zeros(1),) * 3, np.array([1.0]), inviscid_gas)
         right = primitives(np.array([2.0]), (np.zeros(1),) * 3, np.array([1.0]), inviscid_gas)
-        dw = delta_w(left, right, inviscid_gas)
+        dw = delta_w(face_means(0, left, right), inviscid_gas)
         assert dw[4, 0] == pytest.approx(-1.0, abs=1e-15)  # -2 (1 - 0.5)

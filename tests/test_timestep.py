@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gasbox.rhs
+import gasbox.timestep
+from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
 from gasbox.initial import initial_condition
-from gasbox.thermo import GasParams, PositivityError, conserved_from_primitives
+from gasbox.rhs import assemble_rhs
+from gasbox.thermo import GasParams, PositivityError, conserved_from_primitives, primitives_from_conserved
 from gasbox.timestep import RunAbort, SolverParams, StepController, ssprk3_step, stable_dt
+from gasbox.verify import random_admissible_field
 
 
 def rest_state(grid, gas, rho=1.0, temp=1.0):
@@ -113,7 +120,7 @@ class TestStepController:
         params = SolverParams(cfl=0.4)
         ctrl = StepController(g, gas, params)
         dt = stable_dt(u0, g, gas, params)
-        u1, _ = ctrl.attempt_step(u0, 0.0, dt)
+        u1, _, _ = ctrl.attempt_step(u0, 0.0, dt)
         vol = g.cell_volumes
         m0 = float(np.sum(vol * u0[0]))
         assert abs(float(np.sum(vol * u1[0])) - m0) <= 1e-13 * m0
@@ -125,7 +132,7 @@ class TestStepController:
         params = SolverParams(cfl=0.4, max_rejects=30)
         ctrl = StepController(g, gas, params)
         big = 300.0 * stable_dt(u0, g, gas, params)
-        u1, dt_used = ctrl.attempt_step(u0, 0.0, big)
+        u1, dt_used, _ = ctrl.attempt_step(u0, 0.0, big)
         assert ctrl.rejections > 0
         assert dt_used < big
         assert np.all(u1[0] > 0.0)
@@ -160,3 +167,96 @@ class TestStepController:
         ctrl = StepController(g, gas, params)
         with pytest.raises((PositivityError, RunAbort)):
             ctrl.attempt_step(u0, 0.0, 1e-3)
+
+
+def pulse_1d(gas, n=16):
+    g = build_grid((n, 0, 0))
+    return g, initial_condition("gaussian_density_pulse", g, gas, floor=1.0, amplitude=0.5, width=0.1)
+
+
+def late_fault_source(t_bad, component=4, value=np.inf):
+    """Forcing that puts a non-finite value into one row after ``t_bad``."""
+    def source(grid, t):
+        out = np.zeros((5,) + grid.shape)
+        if t > t_bad:
+            out[component] = value
+        return out
+    return source
+
+
+class TestRejectedStages:
+    @settings(max_examples=30, deadline=None)
+    @given(component=st.integers(0, 4), value=st.sampled_from([np.inf, -np.inf, np.nan]))
+    def test_non_finite_stage_halves_dt(self, component, value):
+        # stage 2 of the first attempt runs at t + dt, past t_bad, and
+        # makes the stage state non-finite; the retry at dt/2 stays clear
+        gas = GasParams(gamma=1.4, R=1.0, mu0=0.01, mu1=1e-4, kappa_r=1e-6)
+        g, u0 = pulse_1d(gas)
+        params = SolverParams(cfl=0.4, max_rejects=4)
+        dt = stable_dt(u0, g, gas, params)
+        ctrl = StepController(g, gas, params, source=late_fault_source(0.75 * dt, component, value))
+        with np.errstate(invalid="ignore", over="ignore"):
+            u1, dt_used, prim = ctrl.attempt_step(u0, 0.0, dt)
+        assert ctrl.rejections == 1
+        assert dt_used == 0.5 * dt
+        assert np.all(np.isfinite(u1))
+        assert np.array_equal(prim.rho, u1[0])
+
+
+class TestEvaluationCounts:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"rhs": 0, "primitives": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gasbox.timestep, "assemble_rhs",
+                            counting("rhs", gasbox.timestep.assemble_rhs))
+        for module in (gasbox.timestep, gasbox.rhs):
+            monkeypatch.setattr(module, "primitives_from_conserved",
+                                counting("primitives", module.primitives_from_conserved))
+        return seen
+
+    def test_accepted_step(self, gas, counts):
+        g, u0 = pulse_1d(gas)
+        params = SolverParams(cfl=0.4)
+        dt = stable_dt(u0, g, gas, params)
+        ctrl = StepController(g, gas, params)
+        counts.update(rhs=0, primitives=0)
+        steps = []
+        _, t = ctrl.advance(u0, 0.0, dt, on_step=lambda u_, t_, dt_: steps.append(dt_))
+        assert steps == [dt] and t == dt
+        assert counts["rhs"] == 3
+        assert counts["primitives"] == 4
+
+    def test_rejected_step_reuses_k1(self, gas, counts):
+        g, u0 = pulse_1d(gas)
+        params = SolverParams(cfl=0.4)
+        dt = stable_dt(u0, g, gas, params)
+        ctrl = StepController(g, gas, params, source=late_fault_source(0.75 * dt))
+        prim = primitives_from_conserved(u0, gas)
+        counts.update(rhs=0, primitives=0)
+        k1, dt_first = ctrl.first_stage(u0, 0.0, prim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, dt_used, _ = ctrl.attempt_step(u0, 0.0, dt_first, k1=k1)
+        assert dt_first == dt and dt_used == 0.5 * dt
+        assert ctrl.rejections == 1
+        assert counts["rhs"] == 3 + 2
+
+
+class TestSharedFirstStage:
+    @pytest.mark.parametrize("variant", list(LambdaVariant))
+    @pytest.mark.parametrize("n", [(6, 6, 6), (32, 0, 0)])
+    def test_dt_and_k1_match_the_standalone_path(self, rng, gas, variant, n):
+        g = build_grid(n)
+        params = SolverParams(cfl=0.4, lambda_variant=variant)
+        ctrl = StepController(g, gas, params)
+        for _ in range(3):
+            u = random_admissible_field(rng, g, gas)
+            k1, dt = ctrl.first_stage(u, 0.0, primitives_from_conserved(u, gas))
+            assert dt == stable_dt(u, g, gas, params)
+            assert np.array_equal(k1, assemble_rhs(u, g, gas, variant))
