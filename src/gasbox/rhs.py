@@ -77,11 +77,8 @@ def face_states(prim, axis):
 
 
 def face_flux_parts(face, grid, gas, variant):
-    """Interior-face fluxes of one face bundle.
-
-    Returns (convective, diffusive, coeffs); the total face flux is
-    convective - diffusive.
-    """
+    """(convective, diffusive, coeffs) of one face bundle; the total face
+    flux is convective - diffusive."""
     h = grid.spacing[face.axis]
     coeffs = diffusion_coeffs(face, h, variant, gas)
     diffusive, _, _ = split_diffusive_flux(face, coeffs, h, gas)
@@ -109,13 +106,16 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, 
         flux -= diffusive
         if tilde_nu_max is not None:
             tilde_nu_max.append(float(np.max(coeffs.tilde_nu)))
-        # face i is the plus face of node i and the minus face of node
-        # i + 1; the wall faces carry no flux
+        # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width, in place on slab views;
+        # the wall faces carry no flux
+        c = ax + 1
         width = grid.width_along(ax)
-        left_nodes = _slab(tend, ax + 1, None, -1)
-        left_nodes -= flux / _slab(width, ax, None, -1)
-        right_nodes = _slab(tend, ax + 1, 1, None)
-        right_nodes += flux / _slab(width, ax, 1, None)
+        inner = _slab(tend, c, 1, -1)
+        inner -= (_slab(flux, c, 1, None) - _slab(flux, c, None, -1)) / _slab(width, ax, 1, -1)
+        first = _slab(tend, c, 0, 1)
+        first -= _slab(flux, c, 0, 1) / _slab(width, ax, 0, 1)
+        last = _slab(tend, c, -1, None)
+        last += _slab(flux, c, -1, None) / _slab(width, ax, -1, None)
     if source is not None:
         tend += source(grid, t)
     for ax in grid.active_axes:

@@ -116,7 +116,7 @@ class PrimitiveFields:
     speed_sq: np.ndarray
     momenta: tuple  # (rho u, rho v, rho w)
     rho_speed_sq: np.ndarray
-    T4: np.ndarray = None
+    T4: np.ndarray  # None when kappa_r == 0
 
 
 def _first_bad_index(mask):
@@ -131,7 +131,7 @@ def _require_admissible(quantity, values):
         raise PositivityError(quantity, idx, float(values[idx]))
 
 
-def _fields(rho, vel, momenta, speed_sq, p, gas):
+def _fields(rho, vel, speed_sq, p, gas):
     T = p / (rho * gas.R)
     beta = rho / (2.0 * p)
     _require_admissible("temperature", T)
@@ -142,7 +142,7 @@ def _fields(rho, vel, momenta, speed_sq, p, gas):
         log_beta=np.log(beta),
         inv_beta=1.0 / beta,
         speed_sq=speed_sq,
-        momenta=momenta,
+        momenta=tuple(rho * c for c in vel),
         rho_speed_sq=rho * speed_sq,
         T4=T ** 4 if gas.kappa_r != 0.0 else None,
     )
@@ -168,7 +168,7 @@ def primitives_from_conserved(u5, gas):
     speed_sq = _speed_sq(vel)
     p = (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq)
     _require_admissible("pressure", p)
-    return _fields(rho, vel, (u5[1], u5[2], u5[3]), speed_sq, p, gas)
+    return _fields(rho, vel, speed_sq, p, gas)
 
 
 def primitives(rho, vel, p, gas):
@@ -178,7 +178,7 @@ def primitives(rho, vel, p, gas):
     p = np.asarray(p, dtype=float)
     _require_admissible("density", rho)
     _require_admissible("pressure", p)
-    return _fields(rho, vel, tuple(rho * c for c in vel), _speed_sq(vel), p, gas)
+    return _fields(rho, vel, _speed_sq(vel), p, gas)
 
 
 @dataclass(frozen=True)
