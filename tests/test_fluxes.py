@@ -5,8 +5,8 @@ import pytest
 from gasbox.fluxes import (
     DiffusionCoeffs,
     LambdaVariant,
-    _mean_logmean_jump_ratio,
     _gradient_vector,
+    _mean_logmean_jump_ratio,
     _radiation_row,
     convective_flux,
     density_jump_sensor,
