@@ -34,7 +34,7 @@ from .fluxes import (
 )
 from .grid import _slab, discrete_norm, gradient_norm_l2
 from .means import arith_mean
-from .rhs import assemble_rhs, face_flux_parts, face_states
+from .rhs import _side, assemble_rhs, face_fluxes, face_states
 from .thermo import delta_w, entropy_quantities, primitives_from_conserved
 
 __all__ = [
@@ -111,9 +111,9 @@ def totals(u5, grid, gas, t=0.0, dt=float("nan")):
 
     rho_bar_grad_vel_sq = 0.0
     for ax in grid.active_axes:
-        rho_bar = arith_mean(_slab(prim.rho, ax, None, -1), _slab(prim.rho, ax, 1, None))
-        g = sum(((_slab(c, ax, 1, None) - _slab(c, ax, None, -1)) / grid.spacing[ax]) ** 2
-                for c in prim.vel)
+        left, right = _side(prim, ax, None, -1), _side(prim, ax, 1, None)
+        rho_bar = arith_mean(left.rho, right.rho)
+        g = sum(((r - l) / grid.spacing[ax]) ** 2 for l, r in zip(left.vel, right.vel))
         v_left = _slab(vol, ax, None, -1)
         rho_bar_grad_vel_sq += float(np.sum(v_left * rho_bar ** 2 * g))
 
@@ -265,8 +265,7 @@ def _ke_pieces(u5, grid, gas, variant):
         face = face_states(prim, ax)
         left, right = face.left, face.right
         h = grid.spacing[ax]
-        conv, diffusive, coeffs = face_flux_parts(face, grid, gas, variant)
-        total = conv - diffusive
+        total, coeffs = face_fluxes(face, grid, gas, variant)
 
         speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
         ke_flux = -0.5 * speed_sq_bar * total[0]
@@ -286,7 +285,8 @@ def _ke_pieces(u5, grid, gas, variant):
         dis += term
         scale = np.maximum(scale, np.abs(term))
 
-        ie_conv = conv[0] / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
+        rho_un_mean = arith_mean(left.momenta[ax], right.momenta[ax])
+        ie_conv = rho_un_mean / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
         ie_conv_div += _face_area_expand(grid, ax) * np.diff(_pad_faces(ie_conv, ax), axis=ax)
 
         ie_diff = coeffs.tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)

@@ -157,26 +157,21 @@ def convective_flux(face, gas):
     """
     ax = face.axis
     left, right = face.left, face.right
+    rho_un_mean = arith_mean(left.momenta[ax], right.momenta[ax])
     p_face = face.p_face
     vel_bar = face.vel_bar
-    # rows are written in place: the flux arrays are the largest
-    # temporaries of a tendency evaluation
-    flux = np.empty((5,) + np.shape(p_face))
-    rho_un_mean = flux[0]
-    np.add(left.momenta[ax], right.momenta[ax], out=rho_un_mean)
-    rho_un_mean *= 0.5
-    for c in range(3):
-        np.multiply(vel_bar[c], rho_un_mean, out=flux[c + 1])
-    flux[ax + 1] += p_face
-
     speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
     mean_vel_sq = vel_bar[0] * vel_bar[0] + vel_bar[1] * vel_bar[1] + vel_bar[2] * vel_bar[2]
-    energy = flux[4]
-    np.divide(rho_un_mean, 2.0 * (gas.gamma - 1.0) * face.beta.ln, out=energy)
-    energy -= 0.5 * speed_sq_bar * rho_un_mean
-    energy += mean_vel_sq * rho_un_mean
-    energy += p_face * vel_bar[ax]
-    return flux
+
+    momentum = [vb * rho_un_mean for vb in vel_bar]
+    momentum[ax] = momentum[ax] + p_face
+    energy = (
+        rho_un_mean / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
+        - 0.5 * speed_sq_bar * rho_un_mean
+        + mean_vel_sq * rho_un_mean
+        + p_face * vel_bar[ax]
+    )
+    return np.stack([rho_un_mean, *momentum, energy])
 
 
 def frak_p(face, h_axis):
@@ -194,19 +189,19 @@ def _gradient_vector(face, h_axis, gas):
     """Gradient stencil of the conserved variables; multiplying it by a
     diffusion coefficient yields the diffusive flux (radiation excluded)."""
     left, right = face.left, face.right
-    grad = np.empty((5,) + np.shape(face.p_face))
-    d_rho = grad[0]
-    np.divide(face.rho.jump, h_axis, out=d_rho)
-    for c, (ml, mr) in enumerate(zip(left.momenta, right.momenta)):
-        np.subtract(mr, ml, out=grad[c + 1])
-        grad[c + 1] /= h_axis
+    d_rho = face.rho.jump / h_axis
+    rows = [d_rho]
+    for ml, mr in zip(left.momenta, right.momenta):
+        rows.append((mr - ml) / h_axis)
+    d_rho_speed_sq = (right.rho_speed_sq - left.rho_speed_sq) / h_axis
     du, dv, dw = (ur - ul for ul, ur in zip(left.vel, right.vel))
-    jump_vel_sq = du * du + dv * dv + dw * dw
-    energy = grad[4]
-    np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=energy)
-    energy += 0.5 * ((right.rho_speed_sq - left.rho_speed_sq) / h_axis)
-    energy -= 0.25 * jump_vel_sq * d_rho
-    return grad
+    energy = (
+        frak_p(face, h_axis) / (gas.gamma - 1.0)
+        + 0.5 * d_rho_speed_sq
+        - 0.25 * (du * du + dv * dv + dw * dw) * d_rho
+    )
+    rows.append(energy)
+    return np.stack(rows)
 
 
 def _radiation_row(face, h_axis, gas):

@@ -64,14 +64,13 @@ def _step_limit(prim, tilde_nu_max, grid, gas, params):
     """CFL-scaled step from primitives and the per-axis largest tilde-nu."""
     sound = np.sqrt(gas.gamma * gas.R * prim.T)
     dt_conv = np.inf
-    diff_max = 0.0
+    diff_max = max(tilde_nu_max)
     h_min = np.inf
-    for ax, coeff_max in zip(grid.active_axes, tilde_nu_max):
+    for ax in grid.active_axes:
         h = grid.spacing[ax]
         h_min = min(h_min, h)
         wave = np.max(np.abs(prim.vel[ax]) + sound)
         dt_conv = min(dt_conv, h / wave)
-        diff_max = max(diff_max, coeff_max)
     if gas.kappa_r > 0.0:
         rad = 4.0 * gas.kappa_r * prim.T ** 3 / (gas.c_v * prim.rho)
         diff_max = max(diff_max, float(np.max(rad)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gasbox.rhs
 from gasbox.fluxes import LambdaVariant, diffusion_coeffs, split_diffusive_flux
 from gasbox.grid import build_grid
 from gasbox.mms import MMSWave
@@ -188,3 +189,19 @@ class TestDegenerateAxes:
         tend = assemble_rhs(u5, g, gas)
         assert tend.shape == (5, 17, 1, 1)
         assert np.all(np.isfinite(tend))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("variant", list(LambdaVariant))
+    @pytest.mark.parametrize("n", [(7, 6, 5), (6, 9, 0), (12, 0, 0)])
+    def test_blocked_faces_match_one_block(self, rng, gas, monkeypatch, variant, n):
+        # every face value is computed elementwise, so splitting the faces
+        # into blocks of a few planes (the last one partial) changes no bit
+        g = build_grid(n)
+        u5 = random_admissible_field(rng, g, gas)
+        one_block, small_blocks = [], []
+        whole = assemble_rhs(u5, g, gas, variant, tilde_nu_max=one_block)
+        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 60)
+        blocked = assemble_rhs(u5, g, gas, variant, tilde_nu_max=small_blocks)
+        assert np.array_equal(blocked, whole)
+        assert small_blocks == one_block
