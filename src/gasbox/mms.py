@@ -3,10 +3,10 @@
 A one-dimensional analytic state compatible with the wall conditions is
 chosen (velocity vanishes at the walls, density and temperature have zero
 wall-normal gradient there), and the forcing that makes it an exact
-solution of the governing system is derived symbolically with sympy and
-compiled to numpy functions.  The symbolic residual is independent of the
-discrete operators, so it serves as an external oracle for the spatial
-and temporal convergence studies.
+solution of the governing system is derived symbolically with sympy (loaded
+on first use) and compiled to numpy kernels.  The symbolic residual is
+independent of the discrete operators, so it serves as an external oracle
+for the spatial and temporal convergence studies.
 
 The shapes
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .thermo import conserved_from_primitives
 
@@ -46,35 +45,33 @@ class MMSWave:
         if abs(self.rho_amp) >= self.rho0 or abs(self.temp_amp) >= self.temp0:
             raise ValueError("amplitudes must keep density and temperature positive")
 
-    def _fields(self, grid, t, funcs):
-        x = grid.nodes[0][:, None, None]
-        out = []
-        for f in funcs:
-            val = np.asarray(f(x, t), dtype=float)
-            out.append(np.broadcast_to(val, grid.shape).copy())
-        return out
-
     def conserved(self, grid, t, gas):
         """Exact conserved field sampled at the nodes."""
-        rho_f, u_f, temp_f = _compiled_state(self, gas)
-        rho, u, temp = self._fields(grid, t, (rho_f, u_f, temp_f))
+        rho, u, temp = _sample(_compiled_state(self, gas), grid, t, (0, 1, 2), 3)
         zero = np.zeros_like(rho)
         return conserved_from_primitives(rho, (u, zero, zero), rho * gas.R * temp, gas)
 
     def source(self, gas):
         """Forcing callable ``(grid, t) -> (5,) + grid.shape`` for the tendency."""
-        funcs = _compiled_source(self, gas)
+        kernel = _compiled_source(self, gas)
 
         def forcing(grid, t):
-            rows = self._fields(grid, t, funcs)
-            zero = np.zeros(grid.shape)
-            return np.stack([rows[0], rows[1], zero, zero, rows[2]])
+            return _sample(kernel, grid, t, (0, 1, 4), 5)
 
         return forcing
 
 
+def _sample(kernel, grid, t, rows, n_rows):
+    # row by row: a residual that is identically zero comes back as a scalar
+    out = np.zeros((n_rows,) + grid.shape)
+    for row, val in zip(rows, kernel(grid.nodes[0][:, None, None], t)):
+        out[row] = val
+    return out
+
+
 @lru_cache(maxsize=None)
 def _symbolic(ms, gas):
+    import sympy as sp
     x, t = sp.symbols("x t", real=True)
     k = sp.pi / ms.length
     rho = ms.rho0 + ms.rho_amp * sp.cos(k * x) * sp.cos(ms.omega * t)
@@ -99,13 +96,15 @@ def _symbolic(ms, gas):
 
 @lru_cache(maxsize=None)
 def _compiled_state(ms, gas):
+    import sympy as sp
     x, t, rho, u, temp, *_ = _symbolic(ms, gas)
-    return tuple(sp.lambdify((x, t), expr, "numpy") for expr in (rho, u, temp))
+    return sp.lambdify((x, t), [rho, u, temp], "numpy", cse=True)
 
 
 @lru_cache(maxsize=None)
 def _compiled_source(ms, gas):
-    # lambdify straight from the derivative expressions: simplification is
-    # expensive on the energy residual and buys nothing numerically
+    # one kernel for all three rows, each shared subexpression computed once;
+    # no simplify: it is expensive on the energy residual and buys nothing
+    import sympy as sp
     x, t, _, _, _, s_mass, s_mom, s_energy = _symbolic(ms, gas)
-    return tuple(sp.lambdify((x, t), expr, "numpy") for expr in (s_mass, s_mom, s_energy))
+    return sp.lambdify((x, t), [s_mass, s_mom, s_energy], "numpy", cse=True)
