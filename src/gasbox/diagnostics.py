@@ -45,12 +45,12 @@ __all__ = [
     "entropy_dissipation",
     "shuffle_gap",
     "shuffle_gap_and_scale",
+    "energy_balance_residuals",
     "ke_balance_residual",
     "internal_energy_residual",
     "entropy_balance_residual",
     "ConvergenceRow",
     "convergence_study",
-    "richardson_errors",
     "format_convergence_table",
     "apriori_norm_report",
     "format_apriori_report",
@@ -297,26 +297,17 @@ def _ke_pieces(u5, grid, gas, variant):
     return prim, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale
 
 
-def ke_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
-    """Max-norm defect of the kinetic-energy balance, scale-normalized.
+def energy_balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+    """Max-norm defects ``(ke, ie)`` of the kinetic- and internal-energy
+    balances, scale-normalized, from one assembly of their pieces.
 
-    The balance (per node, volume form)
+    The kinetic-energy balance (per node, volume form)
 
         V dK/dt + sum_ax S jump(KE flux) - pdv = -dis
 
     is an algebraic identity of the scheme for admissible fields, wall
-    nodes included; the return value measures rounding only.
-    """
-    _, _, vol_dK, ke_div, pdv, dis, _, _, scale = _ke_pieces(u5, grid, gas, variant)
-    resid = vol_dK + ke_div - pdv + dis
-    return float(np.max(np.abs(resid) / scale))
-
-
-def internal_energy_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
-    """Max-norm defect of the implied internal-energy balance.
-
-    Subtracting the kinetic-energy balance from the total-energy row of
-    the scheme leaves
+    nodes included.  Subtracting it from the total-energy row of the
+    scheme leaves the internal-energy balance
 
         V d(p/(gamma-1))/dt + V pdv - V dis
             + sum_ax S jump(conv. internal-energy flux)
@@ -324,15 +315,28 @@ def internal_energy_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
                                 + radiative flux),
 
     again exactly; the z-direction pieces enter with the z difference.
+    Both return values measure rounding only.
     """
-    _, tend, vol_dK, _, pdv, dis, ie_conv_div, ie_diff_div, scale = _ke_pieces(
+    _, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale = _ke_pieces(
         u5, grid, gas, variant)
+    ke = float(np.max(np.abs(vol_dK + ke_div - pdv + dis) / scale))
+
     vol_ie_t = grid.cell_volumes * tend[4] - vol_dK
     resid = vol_ie_t + pdv - dis + ie_conv_div - ie_diff_div
     scale = np.maximum(scale, np.abs(ie_conv_div))
     scale = np.maximum(scale, np.abs(ie_diff_div))
     scale = np.maximum(scale, np.abs(vol_ie_t))
-    return float(np.max(np.abs(resid) / scale))
+    return ke, float(np.max(np.abs(resid) / scale))
+
+
+def ke_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+    """Kinetic-energy part of :func:`energy_balance_residuals`."""
+    return energy_balance_residuals(u5, grid, gas, variant)[0]
+
+
+def internal_energy_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+    """Internal-energy part of :func:`energy_balance_residuals`."""
+    return energy_balance_residuals(u5, grid, gas, variant)[1]
 
 
 def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
@@ -427,11 +431,6 @@ def convergence_study(ns, solve, exact=None):
         rows.append(ConvergenceRow(n=ns[k], h=h_k, err_l1=e1, err_l2=e2,
                                    order_l1=float(o1), order_l2=float(o2)))
     return rows
-
-
-def richardson_errors(ns, solve):
-    """Alias for the exact-solution-free mode of :func:`convergence_study`."""
-    return convergence_study(ns, solve, exact=None)
 
 
 def format_convergence_table(rows):

@@ -4,8 +4,10 @@ import pytest
 from gasbox.diagnostics import (
     CSV_HEADER,
     _dissipation_bracket,
+    _ke_pieces,
     apriori_norm_report,
     convergence_study,
+    energy_balance_residuals,
     entropy_balance_residual,
     entropy_dissipation,
     format_apriori_report,
@@ -114,6 +116,26 @@ class TestInternalEnergyBalance:
         for _ in range(5):
             u5 = random_admissible_field(rng, g, gas)
             assert internal_energy_residual(u5, g, gas) <= 1e-10
+
+
+class TestEnergyBalancePair:
+    @pytest.mark.parametrize("variant", list(LambdaVariant))
+    def test_pair_equals_separate_residuals(self, rng, gas, variant):
+        g = build_grid((8, 8, 8))
+        for _ in range(3):
+            u5 = random_admissible_field(rng, g, gas)
+            ke, ie = energy_balance_residuals(u5, g, gas, variant)
+            assert ke == ke_balance_residual(u5, g, gas, variant)
+            assert ie == internal_energy_residual(u5, g, gas, variant)
+            # each residual evaluated on its own from the shared pieces
+            _, tend, vol_dK, ke_div, pdv, dis, ie_conv, ie_diff, scale = _ke_pieces(
+                u5, g, gas, variant)
+            assert ke == float(np.max(np.abs(vol_dK + ke_div - pdv + dis) / scale))
+            vol_ie_t = g.cell_volumes * tend[4] - vol_dK
+            ie_scale = np.maximum(np.maximum(np.maximum(scale, np.abs(ie_conv)),
+                                             np.abs(ie_diff)), np.abs(vol_ie_t))
+            resid = vol_ie_t + pdv - dis + ie_conv - ie_diff
+            assert ie == float(np.max(np.abs(resid) / ie_scale))
 
 
 class TestShuffleGap:
