@@ -8,8 +8,12 @@ invalid values.  See the README for the full key reference and defaults.
 
 import configparser
 from dataclasses import dataclass, field
+import math
+import re
 
 from .fluxes import LambdaVariant
+from .grid import grid_shape
+from .initial import PRESETS
 from .thermo import GasParams
 from .timestep import SolverParams
 
@@ -34,12 +38,9 @@ _SCHEMA = {
     "solver": {"cfl", "lambda_variant", "t_end", "dt_min", "max_rejects"},
     "initial": {"preset", "rho", "temperature", "floor", "amplitude", "width",
                 "rho_amp", "temp_amp", "vel_amp", "omega"},
-    "output": {"directory", "cadence", "snapshots", "apriori_report", "seed"},
+    "output": {"directory", "cadence", "snapshots", "apriori_report"},
     "convergence": {"grids", "mode"},
 }
-
-_INITIAL_PRESETS = ("uniform_rest", "gaussian_density_pulse", "acoustic_pulse",
-                    "thermal_spot", "mms_wave")
 
 
 @dataclass
@@ -54,7 +55,6 @@ class RunConfig:
     cadence: int = 10
     snapshots: bool = True
     apriori_report: bool = False
-    seed: int = 0
     convergence_grids: tuple = ()
     convergence_mode: str = "mms"
 
@@ -79,6 +79,13 @@ def _fail(text, section, key, message):
     lineno = _line_of(text, section, key)
     where = f"line {lineno}: " if lineno else ""
     raise ConfigError(f"{where}[{section}] {key}: {message}")
+
+
+def _fail_named(text, section, keys, exc):
+    """Report ``exc`` under the first of ``keys`` its message names, else keys[0]."""
+    message = str(exc)
+    named = [k for k in keys if re.search(rf"\b{k}\b", message, re.IGNORECASE)]
+    _fail(text, section, (named or keys)[0], message)
 
 
 def _floats(value, count):
@@ -139,6 +146,10 @@ def parse_config(text):
 
     cfg.grid_n = get("grid", "n", lambda v: _ints(v, 3), cfg.grid_n)
     cfg.extent = get("grid", "extent", lambda v: _floats(v, 3), cfg.extent)
+    try:
+        grid_shape(cfg.grid_n, cfg.extent)
+    except ValueError as exc:
+        _fail_named(text, "grid", ("n", "extent"), exc)
 
     gas_kwargs = {}
     for key, attr in (("gamma", "gamma"), ("r", "R"), ("mu0", "mu0"),
@@ -148,8 +159,7 @@ def parse_config(text):
     try:
         cfg.gas = GasParams(**gas_kwargs)
     except ValueError as exc:
-        key = "gamma" if "gamma" in str(exc) else next(iter(gas_kwargs), "gamma")
-        _fail(text, "gas", key, str(exc))
+        _fail_named(text, "gas", ("gamma", "r", "mu0", "mu1", "kappa_r"), exc)
 
     def _variant(value):
         v = value.strip().lower()
@@ -166,14 +176,14 @@ def parse_config(text):
             max_rejects=get("solver", "max_rejects", int, 12),
         )
     except ValueError as exc:
-        _fail(text, "solver", "cfl", str(exc))
+        _fail_named(text, "solver", ("cfl", "dt_min", "max_rejects"), exc)
     cfg.t_end = get("solver", "t_end", float, cfg.t_end)
-    if cfg.t_end <= 0.0:
-        _fail(text, "solver", "t_end", "must be positive")
+    if not 0.0 < cfg.t_end < math.inf:
+        _fail(text, "solver", "t_end", "must be positive and finite")
 
     preset = get("initial", "preset", str, "uniform_rest").strip().lower()
-    if preset not in _INITIAL_PRESETS:
-        _fail(text, "initial", "preset", f"expected one of {_INITIAL_PRESETS}")
+    if preset not in PRESETS:
+        _fail(text, "initial", "preset", f"expected one of {tuple(PRESETS)}")
     cfg.initial = {"preset": preset}
     if parser.has_section("initial"):
         for key in parser.options("initial"):
@@ -187,7 +197,6 @@ def parse_config(text):
         _fail(text, "output", "cadence", "must be >= 1")
     cfg.snapshots = get("output", "snapshots", _bool, cfg.snapshots)
     cfg.apriori_report = get("output", "apriori_report", _bool, cfg.apriori_report)
-    cfg.seed = get("output", "seed", int, cfg.seed)
 
     cfg.convergence_grids = get("convergence", "grids", _ints, cfg.convergence_grids)
     cfg.convergence_mode = get("convergence", "mode", str, cfg.convergence_mode).strip().lower()

@@ -245,11 +245,12 @@ def _two_face_node_sum(face_vals, grid, axis):
     return _face_area_expand(grid, axis) * acc
 
 
-def _ke_pieces(u5, grid, gas, variant):
+def _ke_pieces(u5, grid, gas, variant, prim=None, tend=None):
     """Shared assembly for the kinetic- and internal-energy residuals."""
-    u5 = np.asarray(u5, dtype=float)
-    prim = primitives_from_conserved(u5, gas)
-    tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
+    if prim is None:
+        prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
+    if tend is None:
+        tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
     u, v, w = prim.vel
     dK = -0.5 * prim.speed_sq * tend[0] + u * tend[1] + v * tend[2] + w * tend[3]
     vol_dK = grid.cell_volumes * dK
@@ -297,7 +298,7 @@ def _ke_pieces(u5, grid, gas, variant):
     return prim, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale
 
 
-def energy_balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+def energy_balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, prim=None, tend=None):
     """Max-norm defects ``(ke, ie)`` of the kinetic- and internal-energy
     balances, scale-normalized, from one assembly of their pieces.
 
@@ -315,10 +316,12 @@ def energy_balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
                                 + radiative flux),
 
     again exactly; the z-direction pieces enter with the z difference.
-    Both return values measure rounding only.
+    Both return values measure rounding only.  ``prim`` and ``tend``, the
+    primitives and the tendency of ``u5`` under ``variant``, are evaluated
+    unless handed in.
     """
     _, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale = _ke_pieces(
-        u5, grid, gas, variant)
+        u5, grid, gas, variant, prim, tend)
     ke = float(np.max(np.abs(vol_dK + ke_div - pdv + dis) / scale))
 
     vol_ie_t = grid.cell_volumes * tend[4] - vol_dK
@@ -339,17 +342,19 @@ def internal_energy_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
     return energy_balance_residuals(u5, grid, gas, variant)[1]
 
 
-def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, prim=None, tend=None):
     """Defect of the global entropy balance
 
         sum V w.du/dt + (physical dissipation) + (shuffle slack) = 0,
 
     returned normalized; the two nonnegative parts are returned as well,
-    so callers can assert the inequality d/dt sum V U <= 0.
+    so callers can assert the inequality d/dt sum V U <= 0.  ``prim`` and
+    ``tend`` are as in :func:`energy_balance_residuals`.
     """
-    u5 = np.asarray(u5, dtype=float)
-    prim = primitives_from_conserved(u5, gas)
-    tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
+    if prim is None:
+        prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
+    if tend is None:
+        tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
     w = entropy_quantities(prim, gas).w
     production = float(np.sum(grid.cell_volumes * np.sum(w * tend, axis=0)))
 

@@ -8,25 +8,10 @@ import numpy as np
 from .diagnostics import totals
 from .grid import build_grid
 from .initial import initial_condition
-from .mms import MMSWave
+from .mms import mms_from_initial
 from .timestep import StepController
 
 __all__ = ["RunResult", "mms_from_initial", "simulate"]
-
-_MMS_RENAMES = {"rho": "rho0", "temperature": "temp0"}
-_MMS_KEYS = {"rho0", "temp0", "rho_amp", "temp_amp", "vel_amp", "omega"}
-
-
-def mms_from_initial(initial_params):
-    """Build the manufactured wave matching an [initial] parameter block."""
-    kwargs = {}
-    for key, value in initial_params.items():
-        if key == "preset" or value is None:
-            continue
-        name = _MMS_RENAMES.get(key, key)
-        if name in _MMS_KEYS:
-            kwargs[name] = value
-    return MMSWave(**kwargs)
 
 
 @dataclass

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "build_grid",
+    "grid_shape",
     "diff_plus",
     "diff_minus",
     "sbp_residual",
@@ -99,12 +100,12 @@ def _axis_geometry(n, length):
     return nodes, faces, widths
 
 
-def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
-    """Build a uniform node-centered grid.
+def grid_shape(n_per_axis, extent=(1.0, 1.0, 1.0)):
+    """``(n_per_axis, extent)`` as tuples, checked as :func:`build_grid`
+    needs them; ValueError names the rule a value breaks.
 
-    ``n_per_axis`` gives the interval count N per axis (N+1 nodes); a
-    trailing axis may be 0 to collapse it.  N = 1 is rejected: both nodes
-    would be wall nodes and the interior flux stencil would be empty.
+    N = 1 is rejected: both nodes would be wall nodes and the interior
+    flux stencil would be empty.
     """
     if np.isscalar(n_per_axis):
         n_per_axis = (int(n_per_axis),) * 3
@@ -115,9 +116,22 @@ def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
     for n in n_per_axis:
         if n < 0 or n == 1:
             raise ValueError(f"intervals per axis must be >= 2 (or 0 to collapse an axis), got {n}")
+    if not any(n_per_axis):
+        raise ValueError("at least one axis must be non-degenerate")
     for e in extent:
-        if not e > 0.0:
-            raise ValueError("box extent must be positive")
+        if not 0.0 < e < np.inf:
+            raise ValueError(f"box extent must be positive and finite, got {e}")
+    return n_per_axis, extent
+
+
+def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
+    """Build a uniform node-centered grid.
+
+    ``n_per_axis`` gives the interval count N per axis (N+1 nodes); a
+    trailing axis may be 0 to collapse it.  The rules are those of
+    :func:`grid_shape`.
+    """
+    n_per_axis, extent = grid_shape(n_per_axis, extent)
 
     nodes, faces, widths, spacing = [], [], [], []
     for n, length in zip(n_per_axis, extent):
@@ -136,8 +150,6 @@ def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
         a.setflags(write=False)
 
     active = tuple(ax for ax, n in enumerate(n_per_axis) if n > 0)
-    if not active:
-        raise ValueError("at least one axis must be non-degenerate")
     h_max = max(spacing[ax] for ax in active)
 
     return Grid(

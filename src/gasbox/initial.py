@@ -8,7 +8,7 @@ is validated before the field is returned.
 
 import numpy as np
 
-from .mms import MMSWave
+from .mms import mms_from_initial
 from .rhs import apply_boundary_state
 from .thermo import conserved_from_primitives
 
@@ -66,10 +66,7 @@ def _thermal_spot(grid, gas, rho=1.0, temperature=1.0, amplitude=0.5, width=0.1)
 
 
 def _mms_wave(grid, gas, **params):
-    defaults = {k: v for k, v in params.items() if v is not None}
-    rename = {"rho": "rho0", "temperature": "temp0"}
-    kwargs = {rename.get(k, k): v for k, v in defaults.items()}
-    return MMSWave(**kwargs).conserved(grid, 0.0, gas)
+    return mms_from_initial(params).conserved(grid, 0.0, gas)
 
 
 PRESETS = {

@@ -26,7 +26,7 @@ import numpy as np
 
 from .thermo import conserved_from_primitives
 
-__all__ = ["MMSWave"]
+__all__ = ["MMSWave", "mms_from_initial"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,19 @@ class MMSWave:
             return _sample(kernel, grid, t, (0, 1, 4), 5)
 
         return forcing
+
+
+def mms_from_initial(params):
+    """The wave of an ``[initial]`` parameter block: ``rho`` and
+    ``temperature`` set its base state, ``preset`` and unset values are
+    skipped, and any other key that is not an :class:`MMSWave` field
+    raises ValueError."""
+    renames = {"rho": "rho0", "temperature": "temp0"}
+    kwargs = {renames.get(k, k): v for k, v in params.items() if k != "preset" and v is not None}
+    try:
+        return MMSWave(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"bad manufactured-wave parameters: {exc}") from None
 
 
 def _sample(kernel, grid, t, rows, n_rows):

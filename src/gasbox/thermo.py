@@ -79,6 +79,9 @@ class GasParams:
     c_v: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("gamma", "R", "mu0", "mu1", "kappa_r"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 1.0 < self.gamma <= 5.0 / 3.0:
             raise ValueError(f"gamma must satisfy 1 < gamma <= 5/3 (ideal-gas validity), got {self.gamma}")
         if self.R <= 0.0:

@@ -45,8 +45,8 @@ class SolverParams:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.dt_min <= 0.0:
-            raise ValueError("dt_min must be positive")
+        if not 0.0 < self.dt_min < np.inf:
+            raise ValueError("dt_min must be positive and finite")
         if self.max_rejects < 0:
             raise ValueError("max_rejects must be nonnegative")
 

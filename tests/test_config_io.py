@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from gasbox.cli import main
 from gasbox.config import ConfigError, parse_config
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
-from gasbox.initial import initial_condition
-from gasbox.mms import MMSWave
+from gasbox.initial import PRESETS, initial_condition
+from gasbox.mms import MMSWave, mms_from_initial
 from gasbox.snapshot import read_snapshot, write_snapshot
+from gasbox.verify import BOUNDS, run_verification
 
 MINIMAL = """
 [grid]
@@ -79,7 +82,6 @@ width = 0.12
 directory = results
 cadence = 7
 snapshots = false
-seed = 42
 
 [convergence]
 grids = 16 32 64
@@ -96,13 +98,18 @@ mode = richardson
         assert cfg.output_dir == "results"
         assert cfg.cadence == 7
         assert cfg.snapshots is False
-        assert cfg.seed == 42
         assert cfg.convergence_grids == (16, 32, 64)
         assert cfg.convergence_mode == "richardson"
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="preset"):
+        with pytest.raises(ConfigError, match=re.escape(f"preset: expected one of {tuple(PRESETS)}")):
             parse_config("[initial]\npreset = vortex\n")
+        for preset in PRESETS:
+            assert parse_config(f"[initial]\npreset = {preset}\n").initial["preset"] == preset
+
+    def test_output_seed_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"line 4: \[output\] seed: unknown key"):
+            parse_config("[output]\ndirectory = out\n\nseed = 42\n")
 
 
 class TestInitialConditions:
@@ -145,6 +152,16 @@ class TestInitialConditions:
         with pytest.raises(ValueError, match="nonpositive"):
             initial_condition("gaussian_density_pulse", g, gas,
                               floor=1.0, amplitude=-1.5, width=0.2)
+
+    def test_mms_wave_from_initial_block(self, gas):
+        params = {"preset": "mms_wave", "rho": 2.0, "temperature": 3.0, "vel_amp": 0.1, "omega": None}
+        assert mms_from_initial(params) == MMSWave(rho0=2.0, temp0=3.0, vel_amp=0.1)
+        with pytest.raises(ValueError, match="floor"):
+            mms_from_initial({"preset": "mms_wave", "floor": 1.0})
+        with pytest.raises(ValueError, match="floor"):
+            initial_condition("mms_wave", build_grid((8, 0, 0)), gas, floor=1.0)
+        from gasbox.driver import mms_from_initial as driver_mms_from_initial
+        assert driver_mms_from_initial is mms_from_initial
 
     def test_rejects_unknown_preset_and_params(self, gas):
         g = build_grid((4, 4, 4))
@@ -262,6 +279,36 @@ mode = mms
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast", "--seed", "1"]) == 0
         assert "verification passed" in capsys.readouterr().out
+
+    def test_verify_prints_each_bound_of_the_table_once(self, capsys):
+        assert run_verification(seed=1, fast=True)
+        lines = [re.fullmatch(r"  (.+?) +(ok|FAIL)  \(worst \S+ (<=|>=) (\S+)\)", line)
+                 for line in capsys.readouterr().out.splitlines()]
+        printed = [m.groups() for m in lines if m]
+        assert sorted(name for name, *_ in printed) == sorted(BOUNDS)
+        for name, _, rel, bound in printed:
+            assert (bound, rel) == (f"{BOUNDS[name][0]:.0e}", BOUNDS[name][1])
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("t_end = 0.02", "t_end = 0.02\ndt_min = -1", r"line 6: \[solver\] dt_min:"),
+        ("t_end = 0.02", "t_end = 0.02\ndt_min = nan", r"line 6: \[solver\] dt_min:"),
+        ("t_end = 0.02", "t_end = nan", r"line 5: \[solver\] t_end:"),
+        ("t_end = 0.02", "t_end = inf", r"line 5: \[solver\] t_end:"),
+        ("n = 4 4 4", "n = 1 1 1", r"line 2: \[grid\] n:"),
+        ("n = 4 4 4", "n = -3 4 4", r"line 2: \[grid\] n:"),
+        ("n = 4 4 4", "n = 4 4 4\nextent = inf 1 1", r"line 3: \[grid\] extent:"),
+        ("mu0 = 0.01", "mu0 = nan", r"line 7: \[gas\] mu0:"),
+        ("mu0 = 0.01", "mu0 = 0.01\nkappa_r = inf", r"line 8: \[gas\] kappa_r:"),
+        ("mu0 = 0.01", "mu0 = 0.01\nr = inf", r"line 8: \[gas\] r:"),
+    ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
+            "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf"])
+    def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
+        text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"
+                f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        assert main(["run", str(cfg)]) == 2
+        assert re.search(where, capsys.readouterr().err)
 
     def test_physics_abort_exit_and_snapshot(self, tmp_path, capsys, monkeypatch, gas):
         import gasbox.cli as cli_mod
