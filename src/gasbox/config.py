@@ -13,7 +13,7 @@ import re
 
 from .fluxes import LambdaVariant
 from .grid import grid_shape
-from .initial import PRESETS
+from .initial import PRESETS, check_initial
 from .thermo import GasParams
 from .timestep import SolverParams
 
@@ -190,6 +190,10 @@ def parse_config(text):
             if key == "preset":
                 continue
             cfg.initial[key] = get("initial", key, float, None)
+    try:
+        check_initial(cfg.initial, cfg.grid_n, cfg.extent, cfg.gas)
+    except ValueError as exc:
+        _fail_named(text, "initial", [k for k in cfg.initial if k != "preset"] + ["preset"], exc)
 
     cfg.output_dir = get("output", "directory", str, cfg.output_dir)
     cfg.cadence = get("output", "cadence", int, cfg.cadence)

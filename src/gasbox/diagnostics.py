@@ -34,8 +34,8 @@ from .fluxes import (
 )
 from .grid import _slab, discrete_norm, gradient_norm_l2
 from .means import arith_mean
-from .rhs import _side, assemble_rhs, face_fluxes, face_states
-from .thermo import delta_w, entropy_quantities, primitives_from_conserved
+from .rhs import assemble_rhs, face_blocks, face_fluxes
+from .thermo import delta_w, entropy_function, entropy_variables, primitives_from_conserved
 
 __all__ = [
     "DiagnosticsRecord",
@@ -82,14 +82,8 @@ class DiagnosticsRecord:
     norm_grad_temp32: float
 
     def row(self):
-        return [
-            self.t, self.dt, self.total_mass, *self.total_momentum,
-            self.total_energy, self.total_entropy, self.total_kinetic,
-            self.min_rho, self.min_temp, self.max_speed,
-            self.entropy_dissipation, self.norm_rho_l2,
-            self.norm_grad_log_rho, self.norm_rho_grad_vel,
-            self.norm_grad_temp32,
-        ]
+        """The CSV columns: the fields in order, the momentum spread out."""
+        return [x for v in vars(self).values() for x in (v if isinstance(v, tuple) else (v,))]
 
 
 # Column order is frozen; bump the version tag when it changes.
@@ -101,21 +95,23 @@ CSV_HEADER = (
 )
 
 
-def totals(u5, grid, gas, t=0.0, dt=float("nan")):
-    """One :class:`DiagnosticsRecord`; reductions run in fixed array order."""
-    u5 = np.asarray(u5, dtype=float)
-    prim = primitives_from_conserved(u5, gas)
-    ent = entropy_quantities(prim, gas)
-    vol = grid.cell_volumes
-    speed = np.sqrt(prim.speed_sq)
+def totals(u5, grid, gas, t=0.0, dt=float("nan"), prim=None):
+    """One :class:`DiagnosticsRecord`; reductions run in fixed array order.
 
-    rho_bar_grad_vel_sq = 0.0
-    for ax in grid.active_axes:
-        left, right = _side(prim, ax, None, -1), _side(prim, ax, 1, None)
-        rho_bar = arith_mean(left.rho, right.rho)
-        g = sum(((r - l) / grid.spacing[ax]) ** 2 for l, r in zip(left.vel, right.vel))
-        v_left = _slab(vol, ax, None, -1)
-        rho_bar_grad_vel_sq += float(np.sum(v_left * rho_bar ** 2 * g))
+    ``prim``, the primitives of ``u5``, is converted unless handed in.  The
+    face terms come from one walk over the face blocks.
+    """
+    u5 = np.asarray(u5, dtype=float)
+    if prim is None:
+        prim = primitives_from_conserved(u5, gas)
+    vol = grid.cell_volumes
+
+    dissipation = rho_bar_grad_vel_sq = 0.0
+    for face, index in face_blocks(prim, grid):
+        ax = face.axis
+        dissipation += _face_dissipation(face, index, grid, gas)
+        g = sum(((r - l) / grid.spacing[ax]) ** 2 for l, r in zip(face.left.vel, face.right.vel))
+        rho_bar_grad_vel_sq += float(np.sum(_slab(vol[index], ax, None, -1) * face.rho.bar ** 2 * g))
 
     return DiagnosticsRecord(
         t=float(t),
@@ -123,12 +119,12 @@ def totals(u5, grid, gas, t=0.0, dt=float("nan")):
         total_mass=float(np.sum(vol * u5[0])),
         total_momentum=tuple(float(np.sum(vol * u5[c])) for c in (1, 2, 3)),
         total_energy=float(np.sum(vol * u5[4])),
-        total_entropy=float(np.sum(vol * ent.U)),
+        total_entropy=float(np.sum(vol * entropy_function(prim, gas))),
         total_kinetic=float(np.sum(vol * 0.5 * prim.rho * prim.speed_sq)),
         min_rho=float(np.min(prim.rho)),
         min_temp=float(np.min(prim.T)),
-        max_speed=float(np.max(speed)),
-        entropy_dissipation=entropy_dissipation(u5, grid, gas, prim=prim),
+        max_speed=float(np.sqrt(np.max(prim.speed_sq))),
+        entropy_dissipation=dissipation,
         norm_rho_l2=discrete_norm(prim.rho, grid, 2),
         norm_grad_log_rho=gradient_norm_l2(prim.log_rho, grid),
         norm_rho_grad_vel=float(np.sqrt(rho_bar_grad_vel_sq)),
@@ -173,11 +169,16 @@ def _dissipation_bracket(face, h_axis, gas):
     return bracket, radiation
 
 
-def _face_dissipation(face, grid, gas):
-    """sum over the faces of one bundle of S * (B nu + R)."""
+def _area_sum(face_vals, face, index, grid):
+    """sum over the faces of one block of :func:`face_blocks` of S * ``face_vals``."""
+    area = grid.face_area(face.axis)[index[-1]]
+    return float(np.sum(area * np.sum(face_vals, axis=face.axis)))
+
+
+def _face_dissipation(face, index, grid, gas):
+    """sum over the faces of one block of S * (B nu + R)."""
     bracket, radiation = _dissipation_bracket(face, grid.spacing[face.axis], gas)
-    face_sum = np.sum(physical_coeff(face, gas) * bracket + radiation, axis=face.axis)
-    return float(np.sum(grid.face_area(face.axis) * face_sum))
+    return _area_sum(physical_coeff(face, gas) * bracket + radiation, face, index, grid)
 
 
 def entropy_dissipation(u5, grid, gas, prim=None):
@@ -188,16 +189,7 @@ def entropy_dissipation(u5, grid, gas, prim=None):
     """
     if prim is None:
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    total = 0.0
-    for ax in grid.active_axes:
-        total += _face_dissipation(face_states(prim, ax), grid, gas)
-    return total
-
-
-def _convective_minus_lambda(face, variant, gas):
-    """f^c - f^lambda as a face-local quantity (the grid spacing cancels)."""
-    lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
-    return convective_flux(face, gas) - lam * _gradient_vector(face, 1.0, gas)
+    return sum(_face_dissipation(face, index, grid, gas) for face, index in face_blocks(prim, grid))
 
 
 def shuffle_gap(face, variant, gas):
@@ -211,7 +203,9 @@ def shuffle_gap(face, variant, gas):
 
 def shuffle_gap_and_scale(face, variant, gas):
     """Gap together with the local magnitude to normalize tolerances by."""
-    flux = _convective_minus_lambda(face, variant, gas)
+    # f^c - f^lambda as a face-local quantity (the grid spacing cancels)
+    lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
+    flux = convective_flux(face, gas) - lam * _gradient_vector(face, 1.0, gas)
     contraction = np.sum(delta_w(face, gas) * flux, axis=0)
     d_psi = face.right.momenta[face.axis] - face.left.momenta[face.axis]
     scale = np.maximum(1.0, np.maximum(np.abs(d_psi), np.abs(contraction)))
@@ -226,23 +220,22 @@ def _pad_faces(face_vals, axis):
     """Extend an interior-face array with zero wall faces along ``axis``."""
     shape = list(face_vals.shape)
     shape[axis] += 2
-    ext = np.zeros(shape, dtype=float)
+    ext = np.zeros(shape)
     _slab(ext, axis, 1, -1)[...] = face_vals
     return ext
 
 
-def _face_area_expand(grid, axis):
-    area = grid.face_area(axis)
-    return np.expand_dims(area, axis)
+def _node_difference(face_vals, area, axis):
+    """S * (value on the node's plus face - value on its minus face), with
+    wall faces contributing zero."""
+    return area * np.diff(_pad_faces(face_vals, axis), axis=axis)
 
 
-def _two_face_node_sum(face_vals, grid, axis):
+def _two_face_node_sum(face_vals, area, axis):
     """0.5 * S * (value on the node's minus face + value on its plus face),
     with wall faces contributing zero (the wall difference convention)."""
     ext = _pad_faces(face_vals, axis)
-    n = ext.shape[axis]
-    acc = 0.5 * (_slab(ext, axis, 0, n - 1) + _slab(ext, axis, 1, n))
-    return _face_area_expand(grid, axis) * acc
+    return area * (0.5 * (_slab(ext, axis, None, -1) + _slab(ext, axis, 1, None)))
 
 
 def _ke_pieces(u5, grid, gas, variant, prim=None, tend=None):
@@ -255,45 +248,37 @@ def _ke_pieces(u5, grid, gas, variant, prim=None, tend=None):
     dK = -0.5 * prim.speed_sq * tend[0] + u * tend[1] + v * tend[2] + w * tend[3]
     vol_dK = grid.cell_volumes * dK
 
-    ke_div = np.zeros(grid.shape)
-    pdv = np.zeros(grid.shape)
-    dis = np.zeros(grid.shape)
-    ie_conv_div = np.zeros(grid.shape)
-    ie_diff_div = np.zeros(grid.shape)
+    ke_div, pdv, dis, ie_conv_div, ie_diff_div = np.zeros((5,) + grid.shape)
     scale = np.maximum(1.0, np.abs(vol_dK))
 
-    for ax in grid.active_axes:
-        face = face_states(prim, ax)
+    # each block holds whole lines along its axis, so the node terms it
+    # writes into its view of the node arrays are complete for that axis
+    for face, index in face_blocks(prim, grid):
+        ax = face.axis
         left, right = face.left, face.right
         h = grid.spacing[ax]
+        area = np.expand_dims(grid.face_area(ax)[index[-1]], ax)
         total, coeffs = face_fluxes(face, grid, gas, variant)
 
-        speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
-        ke_flux = -0.5 * speed_sq_bar * total[0]
-        for c in range(3):
-            ke_flux = ke_flux + face.vel_bar[c] * total[c + 1]
-        term = _face_area_expand(grid, ax) * np.diff(_pad_faces(ke_flux, ax), axis=ax)
-        ke_div += term
-        scale = np.maximum(scale, np.abs(term))
-
+        ke_flux = sum((face.vel_bar[c] * total[c + 1] for c in range(3)),
+                      -0.5 * arith_mean(left.speed_sq, right.speed_sq) * total[0])
         d_un = right.vel[ax] - left.vel[ax]
-        term = _two_face_node_sum(face.p_face * d_un, grid, ax)
-        pdv += term
-        scale = np.maximum(scale, np.abs(term))
-
         jump_sq = sum((ur - ul) ** 2 for ul, ur in zip(left.vel, right.vel))
-        term = _two_face_node_sum(coeffs.tilde_nu * face.rho.bar * jump_sq / h, grid, ax)
-        dis += term
-        scale = np.maximum(scale, np.abs(term))
+        terms = (_node_difference(ke_flux, area, ax),
+                 _two_face_node_sum(face.p_face * d_un, area, ax),
+                 _two_face_node_sum(coeffs.tilde_nu * face.rho.bar * jump_sq / h, area, ax))
+        for acc, term in zip((ke_div, pdv, dis), terms):
+            acc[index] += term
+            np.maximum(scale[index], np.abs(term), out=scale[index])
 
         rho_un_mean = arith_mean(left.momenta[ax], right.momenta[ax])
         ie_conv = rho_un_mean / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
-        ie_conv_div += _face_area_expand(grid, ax) * np.diff(_pad_faces(ie_conv, ax), axis=ax)
+        ie_conv_div[index] += _node_difference(ie_conv, area, ax)
 
         ie_diff = coeffs.tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)
         if gas.kappa_r != 0.0:
             ie_diff = ie_diff + _radiation_row(face, h, gas)
-        ie_diff_div += _face_area_expand(grid, ax) * np.diff(_pad_faces(ie_diff, ax), axis=ax)
+        ie_diff_div[index] += _node_difference(ie_diff, area, ax)
 
     return prim, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale
 
@@ -355,15 +340,14 @@ def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, p
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
     if tend is None:
         tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
-    w = entropy_quantities(prim, gas).w
+    w = entropy_variables(prim, gas)
     production = float(np.sum(grid.cell_volumes * np.sum(w * tend, axis=0)))
 
     dissipation = slack = 0.0
-    for ax in grid.active_axes:
-        face = face_states(prim, ax)
-        dissipation += _face_dissipation(face, grid, gas)
+    for face, index in face_blocks(prim, grid):
+        dissipation += _face_dissipation(face, index, grid, gas)
         gap, _ = shuffle_gap_and_scale(face, variant, gas)
-        slack += float(np.sum(grid.face_area(ax) * np.sum(gap, axis=ax)))
+        slack += _area_sum(gap, face, index, grid)
 
     scale = max(1.0, abs(production), dissipation, abs(slack))
     residual = abs(production + dissipation + slack) / scale
@@ -463,33 +447,30 @@ def apriori_norm_report(history, grid, gas):
     if not history:
         raise ValueError("empty history")
     times = np.array([t for t, _ in history])
-    sup = {}
-    integrands = {}
-
-    def track_sup(key, value):
-        sup[key] = max(sup.get(key, -np.inf), value)
-
-    def track_int(key, value):
-        integrands.setdefault(key, []).append(value)
-
+    sups, integrands = [], []
     for _, u5 in history:
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
         vol = grid.cell_volumes
-        track_sup("mass (L1 of rho)", float(np.sum(vol * prim.rho)))
-        track_sup("L4 norm of rho", discrete_norm(prim.rho, grid, 4))
-        track_sup("L1 of rho log rho", float(np.sum(vol * np.abs(prim.rho * prim.log_rho))))
-        track_sup("L1 of 1/rho", float(np.sum(vol / prim.rho)))
-        track_sup("L1 of sqrt(T)", float(np.sum(vol * np.sqrt(prim.T))))
-        track_sup("L2^2 of sqrt(rho) v", float(np.sum(vol * prim.rho * prim.speed_sq)))
+        sups.append({
+            "mass (L1 of rho)": float(np.sum(vol * prim.rho)),
+            "L4 norm of rho": discrete_norm(prim.rho, grid, 4),
+            "L1 of rho log rho": float(np.sum(vol * np.abs(prim.rho * prim.log_rho))),
+            "L1 of 1/rho": float(np.sum(vol / prim.rho)),
+            "L1 of sqrt(T)": float(np.sum(vol * np.sqrt(prim.T))),
+            "L2^2 of sqrt(rho) v": float(np.sum(vol * prim.rho * prim.speed_sq)),
+        })
+        integrands.append({
+            "grad rho (L2^2)": gradient_norm_l2(prim.rho, grid) ** 2,
+            "grad log rho (L2^2)": gradient_norm_l2(prim.log_rho, grid) ** 2,
+            "grad rho^{5/2} (L2^2)": gradient_norm_l2(prim.rho ** 2.5, grid) ** 2,
+            "grad 1/rho (L2^2)": gradient_norm_l2(1.0 / prim.rho, grid) ** 2,
+            "grad T^{3/2} (L2^2)": gradient_norm_l2(prim.T ** 1.5, grid) ** 2,
+            "entropy dissipation": entropy_dissipation(u5, grid, gas, prim=prim),
+        })
 
-        track_int("grad rho (L2^2)", gradient_norm_l2(prim.rho, grid) ** 2)
-        track_int("grad log rho (L2^2)", gradient_norm_l2(prim.log_rho, grid) ** 2)
-        track_int("grad rho^{5/2} (L2^2)", gradient_norm_l2(prim.rho ** 2.5, grid) ** 2)
-        track_int("grad 1/rho (L2^2)", gradient_norm_l2(1.0 / prim.rho, grid) ** 2)
-        track_int("grad T^{3/2} (L2^2)", gradient_norm_l2(prim.T ** 1.5, grid) ** 2)
-        track_int("entropy dissipation", entropy_dissipation(u5, grid, gas, prim=prim))
-
-    integrals = {key: float(np.trapezoid(np.array(vals), times)) for key, vals in integrands.items()}
+    sup = {key: max(s[key] for s in sups) for key in sups[0]}
+    integrals = {key: float(np.trapezoid(np.array([i[key] for i in integrands]), times))
+                 for key in integrands[0]}
     return {"sup": sup, "time_integrals": integrals, "t_span": (float(times[0]), float(times[-1]))}
 
 

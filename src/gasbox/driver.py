@@ -45,22 +45,23 @@ def simulate(cfg, n_override=None, collect_history=False, record_cadence=None):
     cadence = record_cadence if record_cadence is not None else cfg.cadence
     controller = StepController(grid, gas, cfg.solver, source=source)
     result = RunResult(grid=grid, state=u, t=0.0, steps=0)
-    result.records.append(totals(u, grid, gas, t=0.0))
-    if collect_history:
-        result.history.append((0.0, u.copy()))
 
-    def on_step(u_new, t_new, dt_used):
+    def record(u_now, t_now, dt=float("nan"), prim=None):
+        result.records.append(totals(u_now, grid, gas, t=t_now, dt=dt, prim=prim))
+        if collect_history:
+            result.history.append((t_now, u_now.copy()))
+
+    def on_step(u_new, t_new, dt_used, prim):
+        # ``prim`` is not kept past the call: the step controller frees its
+        # own reference while the next step's stages run
         result.steps += 1
         if result.steps % cadence == 0:
-            result.records.append(totals(u_new, grid, gas, t=t_new, dt=dt_used))
-            if collect_history:
-                result.history.append((t_new, u_new.copy()))
+            record(u_new, t_new, dt_used, prim)
 
+    record(u, 0.0)
     u, t = controller.advance(u, 0.0, cfg.t_end, on_step=on_step)
     if result.steps % cadence != 0:
-        result.records.append(totals(u, grid, gas, t=t))
-        if collect_history:
-            result.history.append((t, u.copy()))
+        record(u, t)
     result.state = u
     result.t = t
     result.rejections = controller.rejections

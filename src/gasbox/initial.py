@@ -8,11 +8,12 @@ is validated before the field is returned.
 
 import numpy as np
 
+from .grid import build_grid
 from .mms import mms_from_initial
 from .rhs import apply_boundary_state
 from .thermo import conserved_from_primitives
 
-__all__ = ["initial_condition", "PRESETS"]
+__all__ = ["initial_condition", "check_initial", "PRESETS"]
 
 
 def _node_mesh(grid):
@@ -100,3 +101,17 @@ def initial_condition(preset, grid, gas, **params):
     if not (np.all(rho > 0.0) and np.all(p > 0.0)):
         raise ValueError(f"preset {preset!r} produced nonpositive density or temperature")
     return u5
+
+
+def check_initial(initial, grid_n, extent, gas):
+    """Raise ValueError unless the preset of an ``[initial]`` block takes
+    each of its keys and its own checks accept their values.
+
+    The preset is built on the box with three nodes per active axis of
+    ``grid_n``: the centre, the walls and the corners, where the product
+    bumps of the Gaussian presets take their extremes, so a block that
+    passes here yields an admissible field on every grid of that box.
+    """
+    params = {k: v for k, v in initial.items() if k != "preset"}
+    probe = build_grid(tuple(2 if n else 0 for n in grid_n), extent)
+    initial_condition(initial["preset"], probe, gas, **params)

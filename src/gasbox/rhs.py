@@ -19,8 +19,6 @@ Fields must be admissible on entry: positive, finite density and
 pressure everywhere, zero momentum on wall nodes.
 """
 
-from dataclasses import fields
-
 import numpy as np
 
 from .fluxes import LambdaVariant, convective_flux, diffusion_coeffs, split_diffusive_flux
@@ -31,14 +29,16 @@ __all__ = [
     "boundary_node_mask",
     "apply_boundary_state",
     "face_states",
+    "face_blocks",
     "face_fluxes",
     "assemble_rhs",
 ]
 
 
-# Faces per block of the tendency loop: small temporaries are reused by the
-# allocator from block to block and stay in cache, where whole-slab ones
-# (~100 MB at 64^3) were faulted in afresh by every evaluation.
+# Faces per block of every face loop (:func:`face_blocks`): small
+# temporaries are reused by the allocator from block to block and stay in
+# cache, where whole-slab ones (~100 MB at 64^3) were faulted in afresh by
+# every evaluation.
 _BLOCK_FACES = 1 << 15
 
 
@@ -67,13 +67,11 @@ def _side(prim, axis, lo, hi):
     index = (slice(None),) * axis + (slice(lo, hi),)
 
     def cut(a):
-        if a is None:
-            return None
         if isinstance(a, tuple):
             return tuple(c[index] for c in a)
-        return a[index]
+        return None if a is None else a[index]
 
-    return PrimitiveFields(**{f.name: cut(getattr(prim, f.name)) for f in fields(prim)})
+    return PrimitiveFields(*map(cut, vars(prim).values()))
 
 
 def face_states(prim, axis):
@@ -92,6 +90,24 @@ def face_fluxes(face, grid, gas, variant):
     return flux, coeffs
 
 
+def face_blocks(prim, grid):
+    """Yield ``(face, index)`` for the interior faces of every active axis
+    in blocks of about ``_BLOCK_FACES`` faces, axis by axis.
+
+    ``face`` is the block's :class:`~gasbox.thermo.FaceState`; ``index``
+    cuts the block's nodes out of a node array (prepend ``slice(None)`` for
+    a component axis).  A block is a run of whole planes along the first
+    axis other than ``face.axis``: it holds whole grid lines along
+    ``face.axis``, and ``index[-1]`` picks its rows of ``grid.face_area``.
+    """
+    for ax in grid.active_axes:
+        b = 1 if ax == 0 else 0
+        step = max(1, _BLOCK_FACES * grid.shape[b] // prim.rho.size)
+        for lo in range(0, grid.shape[b], step):
+            block = prim if step >= grid.shape[b] else _side(prim, b, lo, lo + step)
+            yield face_states(block, ax), (slice(None),) * b + (slice(lo, lo + step),)
+
+
 def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, t=0.0,
                  prim=None, tilde_nu_max=None):
     """Tendency du/dt of the full scheme on an admissible field.
@@ -107,25 +123,21 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, 
     if prim is None:
         prim = primitives_from_conserved(u5, gas)
     tend = np.zeros_like(u5)
-    for ax in grid.active_axes:
-        # faces normal to ``ax`` in blocks of whole planes along axis ``b``;
-        # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width in place on slab views,
-        # the wall faces carrying no flux
-        b, c = (1 if ax == 0 else 0), ax + 1
-        step = max(1, _BLOCK_FACES * grid.shape[b] // prim.rho.size)
+    coeff_max = {}
+    for face, index in face_blocks(prim, grid):
+        # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width in place on the block's
+        # view, the wall faces carrying no flux
+        ax, c = face.axis, face.axis + 1
+        flux, coeffs = face_fluxes(face, grid, gas, variant)
+        coeff_max[ax] = max(coeff_max.get(ax, -np.inf), float(np.max(coeffs.tilde_nu)))
+        block = tend[(slice(None),) + index]
         width = grid.width_along(ax)
-        coeff_max = []
-        for lo in range(0, grid.shape[b], step):
-            face = face_states(_side(prim, b, lo, lo + step), ax)
-            flux, coeffs = face_fluxes(face, grid, gas, variant)
-            coeff_max.append(float(np.max(coeffs.tilde_nu)))
-            block = _slab(tend, b + 1, lo, lo + step)
-            inner = _slab(block, c, 1, -1)
-            inner -= (_slab(flux, c, 1, None) - _slab(flux, c, None, -1)) / _slab(width, ax, 1, -1)
-            _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) / _slab(width, ax, 0, 1)
-            _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) / _slab(width, ax, -1, None)
-        if tilde_nu_max is not None:
-            tilde_nu_max.append(max(coeff_max))
+        inner = _slab(block, c, 1, -1)
+        inner -= (_slab(flux, c, 1, None) - _slab(flux, c, None, -1)) / _slab(width, ax, 1, -1)
+        _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) / _slab(width, ax, 0, 1)
+        _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) / _slab(width, ax, -1, None)
+    if tilde_nu_max is not None:
+        tilde_nu_max.extend(coeff_max.values())
     if source is not None:
         tend += source(grid, t)
     tend[1:4, boundary_node_mask(grid)] = 0.0

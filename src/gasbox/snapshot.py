@@ -10,7 +10,7 @@ Little-endian layout:
     f64           gas constant R
     5 arrays      conserved components, C order, float64
 
-Round-trips bitwise.
+Round-trips bitwise; a file with bytes after the payload is rejected.
 """
 
 import struct
@@ -49,5 +49,7 @@ def read_snapshot(path):
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
         if data.size != count:
             raise ValueError("truncated snapshot payload")
+        if fh.read(1):
+            raise ValueError("trailing bytes after the snapshot payload")
     u5 = data.reshape(5, nx, ny, nz).astype(float)
     return u5, {"t": t, "gamma": gamma, "R": r_gas, "shape": (nx, ny, nz), "version": version}

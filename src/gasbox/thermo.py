@@ -39,6 +39,7 @@ __all__ = [
     "face_means",
     "conserved_from_primitives",
     "specific_entropy",
+    "entropy_function",
     "entropy_quantities",
     "entropy_variables",
     "delta_w",
@@ -228,6 +229,11 @@ def specific_entropy(prim, gas):
     return np.log(prim.p) - gas.gamma * prim.log_rho
 
 
+def entropy_function(prim, gas):
+    """Scaled entropy function U = -rho s / (gamma - 1)."""
+    return -prim.rho * specific_entropy(prim, gas) / (gas.gamma - 1.0)
+
+
 def entropy_variables(prim, gas):
     """Entropy-variable vector w (5, ...) in the beta scaling."""
     s = specific_entropy(prim, gas)
@@ -255,10 +261,9 @@ def entropy_quantities(prim, gas):
     the variable vector w; the potentials are the momentum components.
     """
     s = specific_entropy(prim, gas)
-    gm1 = gas.gamma - 1.0
-    U = -prim.rho * s / gm1
-    F = tuple(-m * s / gm1 for m in prim.momenta)
-    return EntropyQuantities(s=s, U=U, F=F, w=entropy_variables(prim, gas), psi=prim.momenta)
+    F = tuple(-m * s / (gas.gamma - 1.0) for m in prim.momenta)
+    return EntropyQuantities(s=s, U=entropy_function(prim, gas), F=F,
+                             w=entropy_variables(prim, gas), psi=prim.momenta)
 
 
 def delta_w(face, gas):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import LambdaVariant, diffusion_coeffs
-from .rhs import assemble_rhs, face_states
+from .rhs import assemble_rhs, face_blocks
 from .thermo import PositivityError, primitives_from_conserved
 
 __all__ = [
@@ -61,10 +61,10 @@ class RunAbort(Exception):
 
 
 def _step_limit(prim, tilde_nu_max, grid, gas, params):
-    """CFL-scaled step from primitives and the per-axis largest tilde-nu."""
+    """CFL-scaled step from primitives and the largest face tilde-nu."""
     sound = np.sqrt(gas.gamma * gas.R * prim.T)
     dt_conv = np.inf
-    diff_max = max(tilde_nu_max)
+    diff_max = tilde_nu_max
     h_min = np.inf
     for ax in grid.active_axes:
         h = grid.spacing[ax]
@@ -90,11 +90,10 @@ def stable_dt(u5, grid, gas, params):
     4 kappa_r T^3 / (c_v rho).
     """
     prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    tilde_nu_max = [
-        float(np.max(diffusion_coeffs(face_states(prim, ax), grid.spacing[ax],
-                                      params.lambda_variant, gas).tilde_nu))
-        for ax in grid.active_axes
-    ]
+    tilde_nu_max = max(
+        float(np.max(diffusion_coeffs(face, grid.spacing[face.axis], params.lambda_variant,
+                                      gas).tilde_nu))
+        for face, _ in face_blocks(prim, grid))
     return _step_limit(prim, tilde_nu_max, grid, gas, params)
 
 
@@ -131,7 +130,7 @@ class StepController:
         primitives ``prim`` of ``u`` and the same face bundles."""
         tilde_nu_max = []
         k1 = self._rhs(u, t, prim=prim, tilde_nu_max=tilde_nu_max)
-        return k1, _step_limit(prim, tilde_nu_max, self.grid, self.gas, self.params)
+        return k1, _step_limit(prim, max(tilde_nu_max), self.grid, self.gas, self.params)
 
     def attempt_step(self, u, t, dt, k1=None):
         """Advance one step, halving dt on positivity faults.
@@ -156,13 +155,18 @@ class StepController:
         raise RunAbort(f"positivity could not be restored at t = {t:.6g}", t, u)
 
     def advance(self, u, t, t_end, on_step=None):
-        """Run to t_end; ``on_step(u, t, dt)`` fires after each accepted step."""
+        """Run to t_end; ``on_step(u, t, dt, prim)`` fires after each accepted
+        step with the state's primitives.  Raises :class:`RunAbort` when the
+        step limit falls below ``params.dt_min``, as the run would crawl."""
         prim = primitives_from_conserved(u, self.gas)
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
             k1, dt = self.first_stage(u, t, prim)
             del prim  # the later stages do not read it; free it while they run
+            if dt < self.params.dt_min:
+                raise RunAbort(f"step limit {dt:.3g} below dt_min = {self.params.dt_min:.3g}"
+                               f" at t = {t:.6g}", t, u)
             u, dt_used, prim = self.attempt_step(u, t, min(dt, t_end - t), k1=k1)
             t += dt_used
             if on_step is not None:
-                on_step(u, t, dt_used)
+                on_step(u, t, dt_used, prim)
         return u, t

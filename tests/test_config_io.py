@@ -172,6 +172,17 @@ class TestInitialConditions:
 
 
 class TestSnapshot:
+    def test_trailing_bytes_rejected(self, tmp_path, gas):
+        g = build_grid((2, 2, 2))
+        u5 = np.arange(5.0 * 27).reshape((5,) + g.shape)
+        path = tmp_path / "field.snap"
+        write_snapshot(path, u5, g, 0.5, gas)
+        assert np.array_equal(read_snapshot(path)[0], u5)  # a v1 file still reads back
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            read_snapshot(path)
+
     def test_roundtrip_bitwise(self, tmp_path, rng, gas):
         g = build_grid((5, 6, 7), (1.0, 2.0, 0.5))
         u5 = rng.normal(size=(5,) + g.shape)
@@ -300,8 +311,12 @@ mode = mms
         ("mu0 = 0.01", "mu0 = nan", r"line 7: \[gas\] mu0:"),
         ("mu0 = 0.01", "mu0 = 0.01\nkappa_r = inf", r"line 8: \[gas\] kappa_r:"),
         ("mu0 = 0.01", "mu0 = 0.01\nr = inf", r"line 8: \[gas\] r:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\nwidth = -1",
+         r"line 10: \[initial\] width:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = mms_wave\nfloor = 1.0",
+         r"line 10: \[initial\] floor:"),
     ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
-            "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf"])
+            "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative", "mms-floor"])
     def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
         text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"
                 f"[output]\ndirectory = {tmp_path / 'out'}\n")
@@ -309,6 +324,18 @@ mode = mms
         cfg.write_text(text.replace(old, new))
         assert main(["run", str(cfg)]) == 2
         assert re.search(where, capsys.readouterr().err)
+
+    def test_step_limit_below_dt_min_aborts(self, tmp_path, capsys):
+        # stable_dt is 3.9e-13 here: without the guard the run crawls through ~2,300 steps
+        out = tmp_path / "out"
+        cfg = tmp_path / "crawl.cfg"
+        cfg.write_text("[grid]\nn = 8 0 0\n[gas]\nmu0 = 1e10\n[solver]\nt_end = 1e-9\n"
+                       "dt_min = 1e-12\n[initial]\npreset = gaussian_density_pulse\n"
+                       f"[output]\ndirectory = {out}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "below dt_min" in capsys.readouterr().err
+        _, meta = read_snapshot(out / "abort_last_good.snap")
+        assert meta["t"] == 0.0
 
     def test_physics_abort_exit_and_snapshot(self, tmp_path, capsys, monkeypatch, gas):
         import gasbox.cli as cli_mod

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import gasbox.rhs
 from gasbox.diagnostics import (
     CSV_HEADER,
     _dissipation_bracket,
@@ -19,8 +22,9 @@ from gasbox.diagnostics import (
     totals,
     write_csv,
 )
-from gasbox.fluxes import LambdaVariant
+from gasbox.fluxes import LambdaVariant, physical_coeff
 from gasbox.grid import build_grid
+from gasbox.rhs import face_blocks
 from gasbox.thermo import (
     GasParams,
     conserved_from_primitives,
@@ -28,6 +32,7 @@ from gasbox.thermo import (
     primitives,
     primitives_from_conserved,
 )
+from gasbox.timestep import SolverParams, stable_dt
 from gasbox.verify import random_admissible_field, random_states
 
 
@@ -81,6 +86,58 @@ class TestTotals:
         data = np.genfromtxt(path, delimiter=",", skip_header=2)
         assert data.shape == (3, len(CSV_HEADER.split(",")))
         assert np.allclose(data[:, 2], [r.total_mass for r in recs], rtol=0, atol=0)
+
+
+class TestFaceBlocks:
+    def test_totals_with_primitives_handed_in(self, rng, gas):
+        g = build_grid((6, 5, 4))
+        u5 = random_admissible_field(rng, g, gas)
+        given = totals(u5, g, gas, t=0.25, dt=0.125, prim=primitives_from_conserved(u5, gas))
+        converted = totals(u5, g, gas, t=0.25, dt=0.125)
+        assert dataclasses.astuple(given) == dataclasses.astuple(converted)
+
+    def test_blocked_face_sums_match_whole_slabs(self, rng, gas, monkeypatch):
+        g = build_grid((40, 32, 24))
+        u5 = random_admissible_field(rng, g, gas)
+        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 500)
+        prim = primitives_from_conserved(u5, gas)
+        assert sum(1 for _ in face_blocks(prim, g)) > 3 * len(g.active_axes)
+        rec = totals(u5, g, gas, prim=prim)
+
+        # the same sums over whole slabs of faces, one axis at a time
+        dissipation = grad_vel_sq = 0.0
+        for ax in g.active_axes:
+            lo = (slice(None),) + (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) + (slice(None),) * ax + (slice(1, None),)
+            face = face_means(ax, primitives_from_conserved(u5[lo], gas),
+                              primitives_from_conserved(u5[hi], gas))
+            bracket, radiation = _dissipation_bracket(face, g.spacing[ax], gas)
+            per_face = physical_coeff(face, gas) * bracket + radiation
+            dissipation += float(np.sum(g.face_area(ax) * np.sum(per_face, axis=ax)))
+            jump_sq = sum(((r - l) / g.spacing[ax]) ** 2
+                          for l, r in zip(face.left.vel, face.right.vel))
+            grad_vel_sq += float(np.sum(g.cell_volumes[lo[1:]] * face.rho.bar ** 2 * jump_sq))
+
+        assert dissipation > 0.0 and grad_vel_sq > 0.0
+        assert rec.entropy_dissipation == pytest.approx(dissipation, rel=1e-14)
+        assert entropy_dissipation(u5, g, gas, prim=prim) == rec.entropy_dissipation
+        assert rec.norm_rho_grad_vel == pytest.approx(np.sqrt(grad_vel_sq), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [(7, 6, 5), (6, 9, 0), (12, 0, 0)])
+    def test_blocked_monitors_match_one_block(self, rng, gas, monkeypatch, n):
+        # node terms, maxima and the step limit are elementwise per face, so
+        # blocks of a few planes change no bit of them
+        g = build_grid(n)
+        u5 = random_admissible_field(rng, g, gas)
+        params = SolverParams(cfl=0.4)
+
+        def monitors():
+            return (energy_balance_residuals(u5, g, gas), stable_dt(u5, g, gas, params),
+                    entropy_balance_residual(u5, g, gas)[1])
+
+        whole = monitors()
+        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 60)
+        assert monitors() == whole
 
 
 class TestKineticEnergyBalance:
@@ -300,7 +357,7 @@ class TestAprioriReport:
         ctrl = StepController(g, gas, SolverParams(cfl=0.4))
         history = [(0.0, u.copy())]
         u, t = ctrl.advance(u, 0.0, 0.02,
-                            on_step=lambda u_, t_, dt_: history.append((t_, u_.copy())))
+                            on_step=lambda u_, t_, dt_, prim_: history.append((t_, u_.copy())))
         report = apriori_norm_report(history, g, gas)
         masses = [float(np.sum(g.cell_volumes * f[0])) for _, f in history]
         assert max(masses) - min(masses) <= 1e-12 * masses[0]
@@ -318,7 +375,7 @@ class TestAprioriReport:
         ctrl = StepController(g, gas, SolverParams(cfl=0.4))
         history = [(0.0, u.copy())]
         u, _ = ctrl.advance(u, 0.0, 0.03,
-                            on_step=lambda u_, t_, dt_: history.append((t_, u_.copy())))
+                            on_step=lambda u_, t_, dt_, prim_: history.append((t_, u_.copy())))
         integrals = [apriori_norm_report(history[:k], g, gas)
                      ["time_integrals"]["grad log rho (L2^2)"]
                      for k in range(2, len(history) + 1)]

@@ -154,7 +154,7 @@ class TestStepController:
         params = SolverParams(cfl=0.5)
         ctrl = StepController(g, gas, params)
         seen = []
-        u, t = ctrl.advance(u0, 0.0, 0.05, on_step=lambda u_, t_, dt_: seen.append(t_))
+        u, t = ctrl.advance(u0, 0.0, 0.05, on_step=lambda u_, t_, dt_, prim_: seen.append(t_))
         assert t == pytest.approx(0.05, abs=1e-13)
         assert seen[-1] == t
         assert np.array_equal(u, u0)  # uniform rest is steady
@@ -228,7 +228,7 @@ class TestEvaluationCounts:
         ctrl = StepController(g, gas, params)
         counts.update(rhs=0, primitives=0)
         steps = []
-        _, t = ctrl.advance(u0, 0.0, dt, on_step=lambda u_, t_, dt_: steps.append(dt_))
+        _, t = ctrl.advance(u0, 0.0, dt, on_step=lambda u_, t_, dt_, prim_: steps.append(dt_))
         assert steps == [dt] and t == dt
         assert counts["rhs"] == 3
         assert counts["primitives"] == 4
