@@ -86,7 +86,7 @@ def _cmd_run(args):
     if cfg.snapshots:
         write_snapshot(out_dir / "final.snap", result.state, result.grid, result.t, cfg.gas)
     if cfg.apriori_report:
-        report = apriori_norm_report(result.history, result.grid, cfg.gas)
+        report = apriori_norm_report(result.history, result.grid, cfg.gas, records=result.records)
         (out_dir / "apriori_report.txt").write_text(format_apriori_report(report), encoding="utf-8")
 
     mass_drift, energy_drift, monotone = _summary(result.records)
@@ -104,8 +104,8 @@ def _cmd_converge(args):
     gas = cfg.gas
 
     def solve(n):
-        result = simulate(cfg, n_override=(n, 0, 0) if cfg.grid_n[1] == 0 and cfg.grid_n[2] == 0
-                          else (n, n, n))
+        # every grid of the study collapses the axes the config collapses
+        result = simulate(cfg, n_override=tuple(n if m else 0 for m in cfg.grid_n))
         return result.grid, result.state
 
     exact = None

@@ -26,6 +26,7 @@ import numpy as np
 from .fluxes import (
     LambdaVariant,
     _gradient_vector,
+    _internal_energy_factor,
     _radiation_row,
     convective_flux,
     diffusion_coeffs,
@@ -272,7 +273,7 @@ def _ke_pieces(u5, grid, gas, variant, prim=None, tend=None):
             np.maximum(scale[index], np.abs(term), out=scale[index])
 
         rho_un_mean = arith_mean(left.momenta[ax], right.momenta[ax])
-        ie_conv = rho_un_mean / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
+        ie_conv = rho_un_mean * _internal_energy_factor(face, gas)
         ie_conv_div[index] += _node_difference(ie_conv, area, ax)
 
         ie_diff = coeffs.tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)
@@ -436,19 +437,24 @@ def format_convergence_table(rows):
 # a priori norm report
 
 
-def apriori_norm_report(history, grid, gas):
+def apriori_norm_report(history, grid, gas, records=None):
     """Time series and time integrals of the monitored norms.
 
-    ``history`` is a list of (t, conserved field) pairs.  Values are
-    reported, never asserted: the estimates they mirror come with
-    unquantified constants.  Time integrals use the trapezoid rule on the
-    sampled instants.
+    ``history`` is a list of (t, conserved field) pairs.  ``records``, the
+    :class:`DiagnosticsRecord` of each of those instants (a run's records
+    when it kept its history), supplies the entropy dissipation and the
+    norms of grad log rho and grad T^{3/2} instead of a second walk over
+    the faces; the values are the same.  Values are reported, never
+    asserted: the estimates they mirror come with unquantified constants.
+    Time integrals use the trapezoid rule on the sampled instants.
     """
     if not history:
         raise ValueError("empty history")
     times = np.array([t for t, _ in history])
+    if records is not None and [r.t for r in records] != [float(t) for t in times]:
+        raise ValueError("records and history are not taken at the same instants")
     sups, integrands = [], []
-    for _, u5 in history:
+    for k, (_, u5) in enumerate(history):
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
         vol = grid.cell_volumes
         sups.append({
@@ -459,13 +465,21 @@ def apriori_norm_report(history, grid, gas):
             "L1 of sqrt(T)": float(np.sum(vol * np.sqrt(prim.T))),
             "L2^2 of sqrt(rho) v": float(np.sum(vol * prim.rho * prim.speed_sq)),
         })
+        if records is None:
+            grad_log_rho = gradient_norm_l2(prim.log_rho, grid)
+            grad_temp32 = gradient_norm_l2(prim.T ** 1.5, grid)
+            dissipation = entropy_dissipation(u5, grid, gas, prim=prim)
+        else:
+            rec = records[k]
+            grad_log_rho, grad_temp32 = rec.norm_grad_log_rho, rec.norm_grad_temp32
+            dissipation = rec.entropy_dissipation
         integrands.append({
             "grad rho (L2^2)": gradient_norm_l2(prim.rho, grid) ** 2,
-            "grad log rho (L2^2)": gradient_norm_l2(prim.log_rho, grid) ** 2,
+            "grad log rho (L2^2)": grad_log_rho ** 2,
             "grad rho^{5/2} (L2^2)": gradient_norm_l2(prim.rho ** 2.5, grid) ** 2,
             "grad 1/rho (L2^2)": gradient_norm_l2(1.0 / prim.rho, grid) ** 2,
-            "grad T^{3/2} (L2^2)": gradient_norm_l2(prim.T ** 1.5, grid) ** 2,
-            "entropy dissipation": entropy_dissipation(u5, grid, gas, prim=prim),
+            "grad T^{3/2} (L2^2)": grad_temp32 ** 2,
+            "entropy dissipation": dissipation,
         })
 
     sup = {key: max(s[key] for s in sups) for key in sups[0]}

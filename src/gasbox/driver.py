@@ -9,7 +9,7 @@ from .diagnostics import totals
 from .grid import build_grid
 from .initial import initial_condition
 from .mms import mms_from_initial
-from .timestep import StepController
+from .timestep import StepController, end_reached
 
 __all__ = ["RunResult", "mms_from_initial", "simulate"]
 
@@ -53,15 +53,14 @@ def simulate(cfg, n_override=None, collect_history=False, record_cadence=None):
 
     def on_step(u_new, t_new, dt_used, prim):
         # ``prim`` is not kept past the call: the step controller frees its
-        # own reference while the next step's stages run
+        # own reference while the next step's stages run.  The last step
+        # records too, off cadence or not, from the primitives it computed.
         result.steps += 1
-        if result.steps % cadence == 0:
+        if result.steps % cadence == 0 or end_reached(t_new, cfg.t_end):
             record(u_new, t_new, dt_used, prim)
 
     record(u, 0.0)
     u, t = controller.advance(u, 0.0, cfg.t_end, on_step=on_step)
-    if result.steps % cadence != 0:
-        record(u, t)
     result.state = u
     result.t = t
     result.rejections = controller.rejections

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .means import arith_mean
-
 __all__ = [
     "LambdaVariant",
     "DiffusionCoeffs",
@@ -119,7 +117,6 @@ class DiffusionCoeffs:
     nu_face: np.ndarray
     lambda_face: np.ndarray
     tilde_nu: np.ndarray  # nu_face + h * lambda_face
-    r_star: np.ndarray    # sensor value actually used
 
 
 def physical_coeff(face, gas):
@@ -134,15 +131,19 @@ def diffusion_coeffs(face, h_axis, variant, gas):
     sensor; the combined coefficient is nu + h lambda.
     """
     nu = physical_coeff(face, gas)
-    sensor = density_jump_sensor(face.rho, variant)
     ax = face.axis
-    lam = np.abs(face.vel_bar[ax]) * sensor + 0.25 * np.abs(face.right.vel[ax] - face.left.vel[ax])
+    lam = np.abs(face.vel_bar[ax]) * density_jump_sensor(face.rho, variant)
+    lam += 0.25 * np.abs(face.right.vel[ax] - face.left.vel[ax])
     return DiffusionCoeffs(
         nu_face=np.asarray(nu, dtype=float),
         lambda_face=np.asarray(lam, dtype=float),
         tilde_nu=np.asarray(nu + h_axis * lam, dtype=float),
-        r_star=np.asarray(sensor, dtype=float),
     )
+
+
+def _internal_energy_factor(face, gas):
+    """1 / (2 (gamma-1) logmean(beta)), the convective internal energy per unit mass flux."""
+    return face.inv_log_mean_beta * (0.5 / (gas.gamma - 1.0))
 
 
 def convective_flux(face, gas):
@@ -157,21 +158,18 @@ def convective_flux(face, gas):
     """
     ax = face.axis
     left, right = face.left, face.right
-    rho_un_mean = arith_mean(left.momenta[ax], right.momenta[ax])
-    p_face = face.p_face
     vel_bar = face.vel_bar
-    speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
-    mean_vel_sq = vel_bar[0] * vel_bar[0] + vel_bar[1] * vel_bar[1] + vel_bar[2] * vel_bar[2]
-
-    momentum = [vb * rho_un_mean for vb in vel_bar]
-    momentum[ax] = momentum[ax] + p_face
-    energy = (
-        rho_un_mean / (2.0 * (gas.gamma - 1.0) * face.beta.ln)
-        - 0.5 * speed_sq_bar * rho_un_mean
-        + mean_vel_sq * rho_un_mean
-        + p_face * vel_bar[ax]
-    )
-    return np.stack([rho_un_mean, *momentum, energy])
+    out = np.empty((5,) + np.shape(face.p_face))
+    rho_un_mean = np.add(left.momenta[ax], right.momenta[ax], out=out[0])
+    rho_un_mean *= 0.5
+    for row, vb in zip(out[1:4], vel_bar):
+        np.multiply(vb, rho_un_mean, out=row)
+    out[ax + 1] += face.p_face
+    bracket = (_internal_energy_factor(face, gas) - 0.25 * (left.speed_sq + right.speed_sq)
+               + (vel_bar[0] * vel_bar[0] + vel_bar[1] * vel_bar[1] + vel_bar[2] * vel_bar[2]))
+    np.multiply(bracket, rho_un_mean, out=out[4])
+    out[4] += face.p_face * vel_bar[ax]
+    return out
 
 
 def frak_p(face, h_axis):
@@ -180,28 +178,22 @@ def frak_p(face, h_axis):
     (1 / (2 logmean(beta))) D+ rho + (mean(rho)/2) D+ (1/beta); direction
     enters only through the axis of the face bundle.
     """
-    d_rho = face.rho.jump / h_axis
     d_inv_beta = (face.right.inv_beta - face.left.inv_beta) / h_axis
-    return d_rho / (2.0 * face.beta.ln) + 0.5 * face.rho.bar * d_inv_beta
+    return 0.5 * ((face.rho.jump / h_axis) * face.inv_log_mean_beta + d_inv_beta * face.rho.bar)
 
 
 def _gradient_vector(face, h_axis, gas):
     """Gradient stencil of the conserved variables; multiplying it by a
     diffusion coefficient yields the diffusive flux (radiation excluded)."""
     left, right = face.left, face.right
-    d_rho = face.rho.jump / h_axis
-    rows = [d_rho]
-    for ml, mr in zip(left.momenta, right.momenta):
-        rows.append((mr - ml) / h_axis)
-    d_rho_speed_sq = (right.rho_speed_sq - left.rho_speed_sq) / h_axis
-    du, dv, dw = (ur - ul for ul, ur in zip(left.vel, right.vel))
-    energy = (
-        frak_p(face, h_axis) / (gas.gamma - 1.0)
-        + 0.5 * d_rho_speed_sq
-        - 0.25 * (du * du + dv * dv + dw * dw) * d_rho
-    )
-    rows.append(energy)
-    return np.stack(rows)
+    out = np.empty((5,) + np.shape(face.rho.jump))
+    d_rho = np.divide(face.rho.jump, h_axis, out=out[0])
+    for row, ml, mr in zip(out[1:4], left.momenta, right.momenta):
+        np.divide(mr - ml, h_axis, out=row)
+    energy = np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=out[4])
+    energy += 0.5 * ((right.rho_speed_sq - left.rho_speed_sq) / h_axis)
+    energy -= 0.25 * sum((ur - ul) ** 2 for ul, ur in zip(left.vel, right.vel)) * d_rho
+    return out
 
 
 def _radiation_row(face, h_axis, gas):
@@ -214,7 +206,10 @@ def split_diffusive_flux(face, coeffs, h_axis, gas):
     Returns (total, nu_part, lambda_part) where the lambda part is the
     flux evaluated with coefficient h*lambda and no radiation, the nu part
     uses nu and carries the radiation term, and the total is formed as
-    their sum (so the decomposition is bitwise by construction).
+    their sum (so the decomposition is bitwise by construction).  The
+    time loop does not call it: :func:`~gasbox.rhs.face_fluxes` applies
+    the combined coefficient ``tilde_nu`` to the same gradient stencil in
+    one pass, which equals the total up to a few ulp of reassociation.
     """
     grad = _gradient_vector(face, h_axis, gas)
     lambda_part = (h_axis * coeffs.lambda_face) * grad

@@ -18,6 +18,7 @@ component axis, shape ``(5,) + grid.shape``.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,25 @@ class Grid:
         shape = [1, 1, 1]
         shape[axis] = w.size
         return w.reshape(shape)
+
+    @cached_property
+    def inv_widths(self):
+        """Per axis, 1 / :meth:`width_along`; computed once per grid."""
+        out = tuple(1.0 / self.width_along(ax) for ax in range(3))
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    @cached_property
+    def wall_mask(self):
+        """Boolean mask of the wall nodes (first/last index along active
+        axes); computed once per grid."""
+        mask = np.zeros(self.shape, dtype=bool)
+        for ax in self.active_axes:
+            _slab(mask, ax, 0, 1)[...] = True
+            _slab(mask, ax, -1, None)[...] = True
+        mask.setflags(write=False)
+        return mask
 
 
 def _axis_geometry(n, length):

@@ -21,12 +21,11 @@ pressure everywhere, zero momentum on wall nodes.
 
 import numpy as np
 
-from .fluxes import LambdaVariant, convective_flux, diffusion_coeffs, split_diffusive_flux
+from .fluxes import LambdaVariant, _gradient_vector, _radiation_row, convective_flux, diffusion_coeffs
 from .grid import _slab
 from .thermo import PrimitiveFields, face_means, primitives_from_conserved
 
 __all__ = [
-    "boundary_node_mask",
     "apply_boundary_state",
     "face_states",
     "face_blocks",
@@ -42,23 +41,10 @@ __all__ = [
 _BLOCK_FACES = 1 << 15
 
 
-def boundary_node_mask(grid):
-    """Boolean mask of wall nodes (first/last index along active axes)."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax in grid.active_axes:
-        idx = [slice(None)] * 3
-        idx[ax] = 0
-        mask[tuple(idx)] = True
-        idx[ax] = -1
-        mask[tuple(idx)] = True
-    return mask
-
-
 def apply_boundary_state(u5, grid):
     """Return a copy with momentum zeroed on all wall nodes; rho, E untouched."""
     out = np.array(u5, dtype=float, copy=True)
-    mask = boundary_node_mask(grid)
-    out[1:4, mask] = 0.0
+    out[1:4, grid.wall_mask] = 0.0
     return out
 
 
@@ -86,7 +72,13 @@ def face_fluxes(face, grid, gas, variant):
     h = grid.spacing[face.axis]
     coeffs = diffusion_coeffs(face, h, variant, gas)
     flux = convective_flux(face, gas)
-    flux -= split_diffusive_flux(face, coeffs, h, gas)[0]
+    # one pass of the combined coefficient over the gradient stencil; the
+    # split into physical and artificial parts is for the diagnostics
+    diffusive = _gradient_vector(face, h, gas)
+    diffusive *= coeffs.tilde_nu
+    if gas.kappa_r != 0.0:
+        diffusive[4] += _radiation_row(face, h, gas)
+    flux -= diffusive
     return flux, coeffs
 
 
@@ -131,14 +123,14 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, 
         flux, coeffs = face_fluxes(face, grid, gas, variant)
         coeff_max[ax] = max(coeff_max.get(ax, -np.inf), float(np.max(coeffs.tilde_nu)))
         block = tend[(slice(None),) + index]
-        width = grid.width_along(ax)
-        inner = _slab(block, c, 1, -1)
-        inner -= (_slab(flux, c, 1, None) - _slab(flux, c, None, -1)) / _slab(width, ax, 1, -1)
-        _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) / _slab(width, ax, 0, 1)
-        _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) / _slab(width, ax, -1, None)
+        inv_w = grid.inv_widths[ax]
+        diff = np.subtract(_slab(flux, c, 1, None), _slab(flux, c, None, -1))
+        _slab(block, c, 1, -1)[...] -= np.multiply(diff, _slab(inv_w, ax, 1, -1), out=diff)
+        _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) * _slab(inv_w, ax, 0, 1)
+        _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) * _slab(inv_w, ax, -1, None)
     if tilde_nu_max is not None:
         tilde_nu_max.extend(coeff_max.values())
     if source is not None:
         tend += source(grid, t)
-    tend[1:4, boundary_node_mask(grid)] = 0.0
+    tend[1:4, grid.wall_mask] = 0.0
     return tend

@@ -22,6 +22,7 @@ form is the one for which w . du/dt = dU/dt holds identically.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import warnings
 
 import numpy as np
@@ -203,6 +204,13 @@ class FaceState:
     vel_bar: tuple
     p_face: np.ndarray
 
+    @cached_property
+    def inv_log_mean_beta(self):
+        """1 / logmean(beta), which the convective energy row, the pressure
+        diffusion and the entropy-variable jump multiply by; computed on
+        first read, so the walks that never read it do not pay for it."""
+        return 1.0 / self.beta.ln
+
 
 def face_means(axis, left, right):
     """Build the :class:`FaceState` of faces with ``left``/``right`` states."""
@@ -281,7 +289,7 @@ def delta_w(face, gas):
     beta_bar = face.beta.bar
 
     speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
-    w1 = d_rho / face.rho.ln + (1.0 / (gm1 * face.beta.ln) - speed_sq_bar) * d_beta
+    w1 = d_rho / face.rho.ln + (face.inv_log_mean_beta / gm1 - speed_sq_bar) * d_beta
     momentum_rows = []
     for ul, ur, u_bar in zip(left.vel, right.vel, face.vel_bar):
         w1 = w1 - 2.0 * u_bar * beta_bar * (ur - ul)

@@ -28,6 +28,7 @@ __all__ = [
     "SolverParams",
     "RunAbort",
     "stable_dt",
+    "end_reached",
     "ssprk3_step",
     "StepController",
 ]
@@ -97,18 +98,38 @@ def stable_dt(u5, grid, gas, params):
     return _step_limit(prim, tilde_nu_max, grid, gas, params)
 
 
-def ssprk3_step(u, dt, t, rhs, k1=None):
-    """One SSP-RK3 step of du/dt = rhs(u, t); pure function of the inputs.
+def end_reached(t, t_end):
+    """True once ``t`` is within rounding of ``t_end``, where a run stops."""
+    return t >= t_end - 1e-14 * max(1.0, abs(t_end))
 
-    ``k1``, if given, is rhs(u, t) evaluated beforehand.
+
+def ssprk3_step(u, dt, t, rhs, k1=None):
+    """One SSP-RK3 step of du/dt = rhs(u, t).
+
+    ``k1``, if given, is rhs(u, t) evaluated beforehand.  ``u`` and ``k1``
+    are never written, so a rejected step can be retried with both; k1 + k2
+    is formed once, and the last stage is combined in place in the arrays
+    rhs returned for k2 and k3 (rhs must return a new array per call).  The
+    operations and their order are those of the increment form above.
     """
     if k1 is None:
         k1 = rhs(u, t)
-    u1 = u + dt * k1
-    k2 = rhs(u1, t + dt)
-    u2 = u + (0.25 * dt) * (k1 + k2)
+    u1 = dt * k1
+    u1 += u
+    k12 = rhs(u1, t + dt)  # k2, then k1 + k2
+    del u1
+    k12 += k1
+    u2 = (0.25 * dt) * k12
+    u2 += u
     k3 = rhs(u2, t + 0.5 * dt)
-    return u + dt * ((1.0 / 6.0) * (k1 + k2) + (2.0 / 3.0) * k3)
+    del u2
+    k3 *= 2.0 / 3.0
+    k12 *= 1.0 / 6.0
+    k12 += k3
+    del k3
+    k12 *= dt
+    k12 += u
+    return k12
 
 
 class StepController:
@@ -156,10 +177,11 @@ class StepController:
 
     def advance(self, u, t, t_end, on_step=None):
         """Run to t_end; ``on_step(u, t, dt, prim)`` fires after each accepted
-        step with the state's primitives.  Raises :class:`RunAbort` when the
+        step with the state's primitives; the last step is the one after
+        which :func:`end_reached` holds.  Raises :class:`RunAbort` when the
         step limit falls below ``params.dt_min``, as the run would crawl."""
         prim = primitives_from_conserved(u, self.gas)
-        while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+        while not end_reached(t, t_end):
             k1, dt = self.first_stage(u, t, prim)
             del prim  # the later stages do not read it; free it while they run
             if dt < self.params.dt_min:

@@ -5,6 +5,7 @@ import pytest
 
 from gasbox.cli import main
 from gasbox.config import ConfigError, parse_config
+from gasbox.driver import simulate
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
 from gasbox.initial import PRESETS, initial_condition
@@ -286,6 +287,27 @@ mode = mms
         assert main(["converge", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "L2 error" in out and "observed" in out
+
+    def test_converge_keeps_collapsed_axes(self, tmp_path, monkeypatch, capsys):
+        # a 2D study must refine the two active axes only, not run on n^3 grids
+        import gasbox.cli as cli_mod
+
+        grids = []
+
+        def spy_simulate(cfg, **kwargs):
+            result = simulate(cfg, **kwargs)
+            grids.append(result.grid)
+            return result
+
+        monkeypatch.setattr(cli_mod, "simulate", spy_simulate)
+        cfg = tmp_path / "conv2d.cfg"
+        cfg.write_text("[grid]\nn = 4 4 0\n[gas]\nmu0 = 0.01\n[solver]\ncfl = 0.4\n"
+                       "t_end = 0.002\n[initial]\npreset = gaussian_density_pulse\n"
+                       "[convergence]\ngrids = 4 8\nmode = richardson\n")
+        assert main(["converge", str(cfg)]) == 0
+        assert [g.n_intervals for g in grids] == [(4, 4, 0), (8, 8, 0)]
+        assert all(g.active_axes == (0, 1) for g in grids)
+        assert "L2 error" in capsys.readouterr().out
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast", "--seed", "1"]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -363,6 +364,24 @@ class TestAprioriReport:
         assert max(masses) - min(masses) <= 1e-12 * masses[0]
         assert report["time_integrals"]["grad log rho (L2^2)"] > 0.0
         assert "a priori norm report" in format_apriori_report(report)
+
+    def test_records_supply_the_face_terms_bitwise(self):
+        # demo physics at 16^3, a record at every step: the report read from
+        # the records equals the one that walks the faces again
+        from gasbox.config import parse_config
+        from gasbox.driver import simulate
+        text = (pathlib.Path(__file__).resolve().parent.parent / "demo.cfg").read_text()
+        text = text.replace("t_end = 0.5", "t_end = 0.04").replace("cadence = 10", "cadence = 1")
+        cfg = parse_config(text)
+        assert cfg.grid_n == (16, 16, 16) and cfg.cadence == 1
+        result = simulate(cfg, collect_history=True)
+        assert result.steps > 1 and len(result.records) == len(result.history)
+        walked = apriori_norm_report(result.history, result.grid, cfg.gas)
+        read = apriori_norm_report(result.history, result.grid, cfg.gas, records=result.records)
+        assert read == walked
+        assert read["time_integrals"]["entropy dissipation"] > 0.0
+        with pytest.raises(ValueError, match="same instants"):
+            apriori_norm_report(result.history[1:], result.grid, cfg.gas, records=result.records)
 
     def test_dissipation_integral_monotone_in_horizon(self, gas):
         # the time integral of the log-density gradient norm grows with the

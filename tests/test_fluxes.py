@@ -259,8 +259,7 @@ class TestPressureDiffusionScalar:
 class TestDiffusiveFlux:
     def unit_coeffs(self, shape=(1,)):
         one = np.ones(shape)
-        return DiffusionCoeffs(nu_face=one, lambda_face=np.zeros(shape),
-                               tilde_nu=one, r_star=np.zeros(shape))
+        return DiffusionCoeffs(nu_face=one, lambda_face=np.zeros(shape), tilde_nu=one)
 
     def test_identical_cells(self, gas):
         q = make_states(gas, 1.3, (0.2, -0.1, 0.4), 0.9)

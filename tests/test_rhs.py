@@ -2,12 +2,25 @@ import numpy as np
 import pytest
 
 import gasbox.rhs
-from gasbox.fluxes import LambdaVariant, diffusion_coeffs, split_diffusive_flux
+from gasbox.fluxes import (
+    LambdaVariant,
+    _gradient_vector,
+    _radiation_row,
+    convective_flux,
+    diffusion_coeffs,
+    split_diffusive_flux,
+)
 from gasbox.grid import build_grid
 from gasbox.mms import MMSWave
-from gasbox.rhs import apply_boundary_state, assemble_rhs, boundary_node_mask, face_states
-from gasbox.thermo import PositivityError, conserved_from_primitives, primitives_from_conserved
-from gasbox.verify import random_admissible_field
+from gasbox.rhs import apply_boundary_state, assemble_rhs, face_fluxes, face_states
+from gasbox.thermo import (
+    GasParams,
+    PositivityError,
+    conserved_from_primitives,
+    face_means,
+    primitives_from_conserved,
+)
+from gasbox.verify import random_admissible_field, random_states
 
 
 class TestBoundaryState:
@@ -15,7 +28,7 @@ class TestBoundaryState:
         g = build_grid((4, 4, 4))
         u5 = rng.uniform(0.5, 1.5, (5,) + g.shape)
         out = apply_boundary_state(u5, g)
-        mask = boundary_node_mask(g)
+        mask = g.wall_mask
         assert np.all(out[1:4][:, mask] == 0.0)
         assert np.array_equal(out[0], u5[0])
         assert np.array_equal(out[4], u5[4])
@@ -24,7 +37,7 @@ class TestBoundaryState:
     def test_wall_node_count(self):
         # (N+1)^3 - (N-1)^3 wall nodes for N = 4: 125 - 27 = 98
         g = build_grid((4, 4, 4))
-        assert int(boundary_node_mask(g).sum()) == 98
+        assert int(g.wall_mask.sum()) == 98
 
     def test_compliant_field_unchanged(self, rng, gas):
         g = build_grid((4, 4, 4))
@@ -33,7 +46,7 @@ class TestBoundaryState:
 
     def test_degenerate_axes_have_no_walls(self):
         g = build_grid((8, 0, 0))
-        mask = boundary_node_mask(g)
+        mask = g.wall_mask
         assert int(mask.sum()) == 2  # only the two x-wall nodes
 
 
@@ -62,7 +75,7 @@ class TestAssembleRhs:
         g = build_grid((6, 6, 6))
         u5 = random_admissible_field(rng, g, gas)
         tend = assemble_rhs(u5, g, gas)
-        assert np.all(tend[1:4][:, boundary_node_mask(g)] == 0.0)
+        assert np.all(tend[1:4][:, g.wall_mask] == 0.0)
 
     @pytest.mark.parametrize("variant", list(LambdaVariant))
     def test_entropy_production_nonpositive(self, rng, gas, variant):
@@ -162,7 +175,7 @@ class TestSourceHook:
             return np.ones((5,) + grid.shape)
 
         tend = assemble_rhs(u5, g, gas, source=source)
-        assert np.all(tend[1:4][:, boundary_node_mask(g)] == 0.0)
+        assert np.all(tend[1:4][:, g.wall_mask] == 0.0)
 
     def test_manufactured_source_cancels_residual_at_second_order(self, gas):
         # with the forcing active the analytic state must satisfy the
@@ -177,7 +190,7 @@ class TestSourceHook:
             tend = assemble_rhs(u5, g, gas, LambdaVariant.SECOND_ORDER,
                                 source=wave.source(gas), t=t)
             dt_exact = (wave.conserved(g, t + 1e-6, gas) - wave.conserved(g, t - 1e-6, gas)) / 2e-6
-            dt_exact[1:4][:, boundary_node_mask(g)] = 0.0
+            dt_exact[1:4][:, g.wall_mask] = 0.0
             norms.append(float(np.max(np.abs(tend - dt_exact))))
         assert norms[1] <= norms[0] / 3.0
 
@@ -205,3 +218,22 @@ class TestBlocks:
         blocked = assemble_rhs(u5, g, gas, variant, tilde_nu_max=small_blocks)
         assert np.array_equal(blocked, whole)
         assert small_blocks == one_block
+
+
+class TestFaceFluxes:
+    @pytest.mark.parametrize("kappa_r", [0.0, 1e-2])
+    @pytest.mark.parametrize("variant", list(LambdaVariant))
+    def test_one_diffusive_pass_is_the_combined_formula(self, rng, variant, kappa_r):
+        # the time loop's face flux is the convective flux minus tilde_nu
+        # times the gradient stencil plus the radiation row, bit for bit
+        gas = GasParams(gamma=1.4, R=1.0, mu0=0.01, mu1=1e-4, kappa_r=kappa_r)
+        g = build_grid((50, 0, 0))
+        face = face_means(0, random_states(rng, 10**4, gas), random_states(rng, 10**4, gas))
+        flux, coeffs = face_fluxes(face, g, gas, variant)
+        h = g.spacing[0]
+        diffusive = coeffs.tilde_nu * _gradient_vector(face, h, gas)
+        if kappa_r != 0.0:
+            diffusive[4] += _radiation_row(face, h, gas)
+        expected = convective_flux(face, gas) - diffusive
+        assert np.array_equal(flux, expected)
+        assert np.array_equal(coeffs.tilde_nu, diffusion_coeffs(face, h, variant, gas).tilde_nu)

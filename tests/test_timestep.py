@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasbox.diagnostics
+import gasbox.driver
 import gasbox.rhs
 import gasbox.timestep
+from gasbox.config import parse_config
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
 from gasbox.initial import initial_condition
@@ -104,6 +107,25 @@ class TestSsprk3:
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for s in slopes:
             assert abs(s - 3.0) <= 0.1
+
+    def test_bitwise_textbook_formula_inputs_untouched(self, rng):
+        u = rng.uniform(-3.0, 3.0, (5, 4, 4, 4))
+        a = rng.uniform(-1.0, 1.0, u.shape)
+
+        def rhs(v, t):
+            return a * v * v - (1.0 + t) * v
+
+        k1 = rhs(u, 0.3)
+        u_before, k1_before = u.copy(), k1.copy()
+        dt, t = 0.07, 0.3
+        u1 = u + dt * k1
+        k2 = rhs(u1, t + dt)
+        u2 = u + (0.25 * dt) * (k1 + k2)
+        k3 = rhs(u2, t + 0.5 * dt)
+        expected = u + dt * ((1.0 / 6.0) * (k1 + k2) + (2.0 / 3.0) * k3)
+        assert np.array_equal(ssprk3_step(u, dt, t, rhs, k1=k1), expected)
+        assert np.array_equal(ssprk3_step(u, dt, t, rhs), expected)
+        assert np.array_equal(u, u_before) and np.array_equal(k1, k1_before)
 
     def test_nonautonomous_stage_times(self):
         # u' = 3 t^2 integrates exactly to t^3 by any third-order method
@@ -216,10 +238,25 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(gasbox.timestep, "assemble_rhs",
                             counting("rhs", gasbox.timestep.assemble_rhs))
-        for module in (gasbox.timestep, gasbox.rhs):
-            monkeypatch.setattr(module, "primitives_from_conserved",
-                                counting("primitives", module.primitives_from_conserved))
+        for module in (gasbox.timestep, gasbox.rhs, gasbox.driver, gasbox.diagnostics):
+            if hasattr(module, "primitives_from_conserved"):
+                monkeypatch.setattr(module, "primitives_from_conserved",
+                                    counting("primitives", module.primitives_from_conserved))
         return seen
+
+    def test_run_converts_each_state_once(self, gas, counts):
+        # cadence above the step count: the first record and the loop each
+        # convert the initial state, each step converts its two later stages
+        # and its new state, and the final record reads the last step's
+        cfg = parse_config("[grid]\nn = 16 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
+                           "[solver]\ncfl = 0.4\nt_end = 0.05\n"
+                           "[initial]\npreset = gaussian_density_pulse\n"
+                           "[output]\ncadence = 1000\n")
+        result = gasbox.driver.simulate(cfg)
+        assert result.steps > 1 and result.rejections == 0
+        assert len(result.records) == 2
+        assert result.records[-1].t == result.t and result.records[-1].dt > 0.0
+        assert counts["primitives"] == 3 * result.steps + 2
 
     def test_accepted_step(self, gas, counts):
         g, u0 = pulse_1d(gas)
