@@ -238,10 +238,9 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(gasbox.timestep, "assemble_rhs",
                             counting("rhs", gasbox.timestep.assemble_rhs))
-        for module in (gasbox.timestep, gasbox.rhs, gasbox.driver, gasbox.diagnostics):
-            if hasattr(module, "primitives_from_conserved"):
-                monkeypatch.setattr(module, "primitives_from_conserved",
-                                    counting("primitives", module.primitives_from_conserved))
+        for module in (gasbox.timestep, gasbox.rhs, gasbox.diagnostics):
+            monkeypatch.setattr(module, "primitives_from_conserved",
+                                counting("primitives", module.primitives_from_conserved))
         return seen
 
     def test_run_converts_each_state_once(self, gas, counts):
