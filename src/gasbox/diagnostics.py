@@ -44,11 +44,9 @@ __all__ = [
     "totals",
     "write_csv",
     "entropy_dissipation",
-    "shuffle_gap",
     "shuffle_gap_and_scale",
     "energy_balance_residuals",
     "ke_balance_residual",
-    "internal_energy_residual",
     "entropy_balance_residual",
     "ConvergenceRow",
     "convergence_study",
@@ -193,17 +191,13 @@ def entropy_dissipation(u5, grid, gas, prim=None):
     return sum(_face_dissipation(face, index, grid, gas) for face, index in face_blocks(prim, grid))
 
 
-def shuffle_gap(face, variant, gas):
-    """Entropy-compatibility gap of the faces of a face bundle:
-
-        gap = jump(rho u_n) - jump(w) . (f^c - f^lambda)  >= 0 (up to rounding).
-    """
-    gap, _ = shuffle_gap_and_scale(face, variant, gas)
-    return gap
-
-
 def shuffle_gap_and_scale(face, variant, gas):
-    """Gap together with the local magnitude to normalize tolerances by."""
+    """Entropy-compatibility gap of the faces of a face bundle,
+
+        gap = jump(rho u_n) - jump(w) . (f^c - f^lambda)  >= 0 (up to rounding),
+
+    together with the local magnitude to normalize tolerances by.
+    """
     # f^c - f^lambda as a face-local quantity (the grid spacing cancels)
     lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
     flux = convective_flux(face, gas) - lam * _gradient_vector(face, 1.0, gas)
@@ -321,11 +315,6 @@ def energy_balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, p
 def ke_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
     """Kinetic-energy part of :func:`energy_balance_residuals`."""
     return energy_balance_residuals(u5, grid, gas, variant)[0]
-
-
-def internal_energy_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
-    """Internal-energy part of :func:`energy_balance_residuals`."""
-    return energy_balance_residuals(u5, grid, gas, variant)[1]
 
 
 def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, prim=None, tend=None):

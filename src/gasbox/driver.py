@@ -25,7 +25,7 @@ class RunResult:
     rejections: int = 0
 
 
-def simulate(cfg, n_override=None, collect_history=False, record_cadence=None):
+def simulate(cfg, n_override=None, collect_history=False):
     """Advance a configured run to t_end.
 
     ``n_override`` replaces the grid resolution (used by grid sweeps);
@@ -42,7 +42,6 @@ def simulate(cfg, n_override=None, collect_history=False, record_cadence=None):
     if preset == "mms_wave":
         source = mms_from_initial(cfg.initial).source(gas)
 
-    cadence = record_cadence if record_cadence is not None else cfg.cadence
     controller = StepController(grid, gas, cfg.solver, source=source)
     result = RunResult(grid=grid, state=u, t=0.0, steps=0)
 
@@ -56,7 +55,7 @@ def simulate(cfg, n_override=None, collect_history=False, record_cadence=None):
         # own reference while the next step's stages run.  The last step
         # records too, off cadence or not, from the primitives it computed.
         result.steps += 1
-        if result.steps % cadence == 0 or end_reached(t_new, cfg.t_end):
+        if result.steps % cfg.cadence == 0 or end_reached(t_new, cfg.t_end):
             record(u_new, t_new, dt_used, prim)
 
     record(u, 0.0)

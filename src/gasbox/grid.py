@@ -27,7 +27,6 @@ __all__ = [
     "build_grid",
     "grid_shape",
     "diff_plus",
-    "diff_minus",
     "sbp_residual",
     "discrete_norm",
     "gradient_norm_l2",
@@ -43,35 +42,29 @@ class Grid:
     n_intervals : per-axis interval counts (0 marks a degenerate axis)
     extent : box side lengths
     nodes : per-axis node coordinate arrays, lengths n+1 (or 1)
-    faces : per-axis face coordinates including the wall faces,
-        lengths n+2 (or 2); ``faces[ax][i]`` is x_{i-1/2}
-    widths : per-axis dual (control-volume) widths, lengths n+1 (or 1)
+    widths : per-axis dual (control-volume) widths, lengths n+1 (or 1):
+        the distance between the faces x_{i-1/2} and x_{i+1/2}
     spacing : per-axis uniform node spacing h (extent for degenerate axes)
     cell_volumes : V, shape ``shape``
     face_area_x/y/z : wall-parallel control-surface areas; e.g.
         ``face_area_x[j, k]`` multiplies every x-face flux in column (j, k)
+    active_axes : the axes with n >= 2, along which fluxes are computed
     """
 
     n_intervals: tuple
     extent: tuple
     nodes: tuple
-    faces: tuple
     widths: tuple
     spacing: tuple
     cell_volumes: np.ndarray
     face_area_x: np.ndarray
     face_area_y: np.ndarray
     face_area_z: np.ndarray
-    h_max: float
     active_axes: tuple = field(default=())
 
     @property
     def shape(self):
         return tuple(w.size for w in self.widths)
-
-    @property
-    def ndim_active(self):
-        return len(self.active_axes)
 
     @property
     def box_volume(self):
@@ -115,9 +108,9 @@ def _axis_geometry(n, length):
         nodes = np.linspace(0.0, length, n + 1)
         faces = np.concatenate(([nodes[0]], 0.5 * (nodes[:-1] + nodes[1:]), [nodes[-1]]))
     widths = np.diff(faces)
-    for a in (nodes, faces, widths):
+    for a in (nodes, widths):
         a.setflags(write=False)
-    return nodes, faces, widths
+    return nodes, widths
 
 
 def grid_shape(n_per_axis, extent=(1.0, 1.0, 1.0)):
@@ -153,11 +146,10 @@ def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
     """
     n_per_axis, extent = grid_shape(n_per_axis, extent)
 
-    nodes, faces, widths, spacing = [], [], [], []
+    nodes, widths, spacing = [], [], []
     for n, length in zip(n_per_axis, extent):
-        nd, fc, w = _axis_geometry(n, length)
+        nd, w = _axis_geometry(n, length)
         nodes.append(nd)
-        faces.append(fc)
         widths.append(w)
         spacing.append(length / n if n > 0 else length)
 
@@ -169,22 +161,17 @@ def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
     for a in (area_x, area_y, area_z, volumes):
         a.setflags(write=False)
 
-    active = tuple(ax for ax, n in enumerate(n_per_axis) if n > 0)
-    h_max = max(spacing[ax] for ax in active)
-
     return Grid(
         n_intervals=n_per_axis,
         extent=extent,
         nodes=tuple(nodes),
-        faces=tuple(faces),
         widths=tuple(widths),
         spacing=tuple(spacing),
         cell_volumes=volumes,
         face_area_x=area_x,
         face_area_y=area_y,
         face_area_z=area_z,
-        h_max=h_max,
-        active_axes=active,
+        active_axes=tuple(ax for ax, n in enumerate(n_per_axis) if n > 0),
     )
 
 
@@ -194,33 +181,12 @@ def _slab(arr, axis, lo, hi):
     return arr[tuple(index)]
 
 
-def diff_plus(a, grid, axis, divided=True):
-    """Forward difference along ``axis``, defined on faces i+1/2, i = 0..N-1.
-
-    Output is one shorter than the input along ``axis``.  With
-    ``divided`` the difference is divided by the node spacing h.
-    """
+def diff_plus(a, grid, axis):
+    """Forward difference along ``axis`` divided by the node spacing h,
+    defined on faces i+1/2, i = 0..N-1: one shorter than ``a`` along ``axis``."""
     a = np.asarray(a)
     ax = axis + max(a.ndim - 3, 0)  # allow a leading component axis
-    d = _slab(a, ax, 1, None) - _slab(a, ax, None, -1)
-    if divided:
-        d = d / grid.spacing[axis]
-    return d
-
-
-def diff_minus(a, grid, axis, divided=True):
-    """Backward difference along ``axis`` with the wall convention D- a_0 = 0.
-
-    Output has the same shape as the input; slot 0 along ``axis`` is 0.
-    """
-    a = np.asarray(a)
-    out = np.zeros_like(a, dtype=float)
-    ax = axis + max(a.ndim - 3, 0)
-    d = _slab(a, ax, 1, None) - _slab(a, ax, None, -1)
-    if divided:
-        d = d / grid.spacing[axis]
-    _slab(out, ax, 1, None)[...] = d
-    return out
+    return (_slab(a, ax, 1, None) - _slab(a, ax, None, -1)) / grid.spacing[axis]
 
 
 def sbp_residual(a, b_face, grid, axis):

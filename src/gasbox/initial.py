@@ -2,8 +2,8 @@
 
 Values are injected at the nodes (midpoint sampling of the control
 volumes would change nothing at the method's formal accuracy); wall
-momenta are zeroed afterwards and positivity of density and temperature
-is validated before the field is returned.
+momenta are zeroed afterwards, and the field is checked to be admissible
+(positive, finite density, pressure and temperature) before it is returned.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import numpy as np
 from .grid import build_grid
 from .mms import mms_from_initial
 from .rhs import apply_boundary_state
-from .thermo import conserved_from_primitives
+from .thermo import PositivityError, check_admissible, conserved_from_primitives
 
 __all__ = ["initial_condition", "check_initial", "PRESETS"]
 
@@ -25,13 +25,14 @@ def _node_mesh(grid):
 
 def _gaussian_bump(grid, width):
     """Product Gaussian over the active axes, peak 1 at the box center."""
-    if width <= 0.0:
-        raise ValueError("width must be positive")
+    if not 0.0 < width < np.inf:
+        raise ValueError("width must be positive and finite")
+    two_w2 = 2.0 * np.float64(width) ** 2  # a huge width gives inf (a flat bump), not OverflowError
     bump = np.ones(grid.shape)
     mesh = _node_mesh(grid)
     for ax in grid.active_axes:
         c = 0.5 * grid.extent[ax]
-        bump = bump * np.exp(-((mesh[ax] - c) ** 2) / (2.0 * width ** 2))
+        bump = bump * np.exp(-((mesh[ax] - c) ** 2) / two_w2)
     return bump
 
 
@@ -83,7 +84,7 @@ def initial_condition(preset, grid, gas, **params):
     """Build the conserved initial field for a named preset.
 
     Raises ValueError for unknown presets or parameters that would make
-    density or temperature nonpositive.
+    the state inadmissible (:func:`~gasbox.thermo.check_admissible`).
     """
     try:
         builder = PRESETS[preset]
@@ -95,11 +96,11 @@ def initial_condition(preset, grid, gas, **params):
     except TypeError as exc:
         raise ValueError(f"bad parameters for preset {preset!r}: {exc}") from None
     u5 = apply_boundary_state(u5, grid)
-    rho = u5[0]
-    kinetic = 0.5 * (u5[1] ** 2 + u5[2] ** 2 + u5[3] ** 2) / rho
-    p = (gas.gamma - 1.0) * (u5[4] - kinetic)
-    if not (np.all(rho > 0.0) and np.all(p > 0.0)):
-        raise ValueError(f"preset {preset!r} produced nonpositive density or temperature")
+    kinetic = 0.5 * (u5[1] ** 2 + u5[2] ** 2 + u5[3] ** 2) / u5[0]
+    try:
+        check_admissible(u5[0], (gas.gamma - 1.0) * (u5[4] - kinetic), gas)
+    except PositivityError as exc:
+        raise ValueError(f"nonpositive or non-finite initial state: {exc}") from None
     return u5
 
 

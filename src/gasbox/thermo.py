@@ -34,14 +34,13 @@ __all__ = [
     "PositivityError",
     "PrimitiveFields",
     "FaceState",
-    "EntropyQuantities",
     "primitives",
     "primitives_from_conserved",
+    "check_admissible",
     "face_means",
     "conserved_from_primitives",
     "specific_entropy",
     "entropy_function",
-    "entropy_quantities",
     "entropy_variables",
     "delta_w",
 ]
@@ -95,10 +94,6 @@ class GasParams:
             warnings.warn("mu1 exceeds mu0; the diffusion model expects mu0 >> mu1", stacklevel=2)
         object.__setattr__(self, "c_v", self.R / (self.gamma - 1.0))
 
-    @property
-    def c_p(self):
-        return self.gamma * self.c_v
-
 
 @dataclass(frozen=True)
 class PrimitiveFields:
@@ -136,11 +131,18 @@ def _require_admissible(quantity, values):
         raise PositivityError(quantity, idx, float(values[idx]))
 
 
-def _fields(rho, vel, speed_sq, p, gas):
+def _temperature_beta(rho, p, gas):
+    """T and beta at admissible densities ``rho``; p, T and beta are checked."""
+    _require_admissible("pressure", p)
     T = p / (rho * gas.R)
     beta = rho / (2.0 * p)
     _require_admissible("temperature", T)
     _require_admissible("beta", beta)
+    return T, beta
+
+
+def _fields(rho, vel, speed_sq, p, gas):
+    T, beta = _temperature_beta(rho, p, gas)
     return PrimitiveFields(
         rho=rho, vel=vel, p=p, T=T, beta=beta,
         log_rho=np.log(rho),
@@ -172,8 +174,15 @@ def primitives_from_conserved(u5, gas):
     vel = tuple(u5[c] / rho for c in (1, 2, 3))
     speed_sq = _speed_sq(vel)
     p = (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq)
-    _require_admissible("pressure", p)
     return _fields(rho, vel, speed_sq, p, gas)
+
+
+def check_admissible(rho, p, gas):
+    """Raise :class:`PositivityError` unless density, pressure, temperature
+    and beta are positive and finite everywhere: the rule of
+    :func:`primitives_from_conserved`, without building the fields."""
+    _require_admissible("density", rho)
+    _temperature_beta(rho, p, gas)
 
 
 def primitives(rho, vel, p, gas):
@@ -182,7 +191,6 @@ def primitives(rho, vel, p, gas):
     vel = tuple(np.broadcast_to(np.asarray(c, dtype=float), rho.shape).copy() for c in vel)
     p = np.asarray(p, dtype=float)
     _require_admissible("density", rho)
-    _require_admissible("pressure", p)
     return _fields(rho, vel, _speed_sq(vel), p, gas)
 
 
@@ -249,29 +257,6 @@ def entropy_variables(prim, gas):
     u, v, w = prim.vel
     w1 = gas.gamma / gm1 - s / gm1 - prim.beta * prim.speed_sq
     return np.stack([w1, 2.0 * prim.beta * u, 2.0 * prim.beta * v, 2.0 * prim.beta * w, -2.0 * prim.beta])
-
-
-@dataclass(frozen=True)
-class EntropyQuantities:
-    """Specific entropy, entropy function/flux, variables and potentials."""
-
-    s: np.ndarray
-    U: np.ndarray
-    F: tuple
-    w: np.ndarray
-    psi: tuple
-
-
-def entropy_quantities(prim, gas):
-    """All entropy quantities of a primitive field at once.
-
-    U = -rho s/(gamma-1) and F = -m s/(gamma-1) form the entropy pair for
-    the variable vector w; the potentials are the momentum components.
-    """
-    s = specific_entropy(prim, gas)
-    F = tuple(-m * s / (gas.gamma - 1.0) for m in prim.momenta)
-    return EntropyQuantities(s=s, U=entropy_function(prim, gas), F=F,
-                             w=entropy_variables(prim, gas), psi=prim.momenta)
 
 
 def delta_w(face, gas):

@@ -78,7 +78,7 @@ def _step_limit(prim, tilde_nu_max, grid, gas, params):
 
     dt = dt_conv
     if diff_max > 0.0:
-        dt = min(dt, h_min * h_min / (2.0 * grid.ndim_active * diff_max))
+        dt = min(dt, h_min * h_min / (2.0 * len(grid.active_axes) * diff_max))
     return params.cfl * dt
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import inspect
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasbox.cli import main
 from gasbox.config import ConfigError, parse_config
@@ -337,8 +342,17 @@ mode = mms
          r"line 10: \[initial\] width:"),
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = mms_wave\nfloor = 1.0",
          r"line 10: \[initial\] floor:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\namplitude = 1e308",
+         r"line 10: \[initial\] amplitude:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\ntemperature = inf",
+         r"line 10: \[initial\] temperature:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\ntemperature = 1e-310",
+         r"line 10: \[initial\] temperature:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = thermal_spot\nwidth = inf",
+         r"line 10: \[initial\] width:"),
     ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
-            "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative", "mms-floor"])
+            "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative", "mms-floor",
+            "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf"])
     def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
         text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"
                 f"[output]\ndirectory = {tmp_path / 'out'}\n")
@@ -346,6 +360,27 @@ mode = mms
         cfg.write_text(text.replace(old, new))
         assert main(["run", str(cfg)]) == 2
         assert re.search(where, capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(preset=st.sampled_from(["gaussian_density_pulse", "acoustic_pulse", "thermal_spot"]),
+           values=st.fixed_dictionaries({key: st.none() | st.floats(1e-2, 1e2) | st.floats()
+                                         for key in ("rho", "temperature", "floor", "amplitude", "width")}))
+    def test_fuzzed_gaussian_block_runs_or_exits_cleanly(self, tmp_path_factory, preset, values):
+        # st.floats() draws nan, +-inf, huge and subnormal values; a value is
+        # written only for the keys the preset takes, None leaves it out.
+        # dt_min bounds a run at 100 steps, so a hot gas aborts instead of crawling.
+        takes = inspect.signature(PRESETS[preset]).parameters
+        lines = "".join(f"{k} = {v!r}\n" for k, v in values.items() if k in takes and v is not None)
+        out = tmp_path_factory.mktemp("fuzz")
+        cfg = out / "run.cfg"
+        cfg.write_text("[grid]\nn = 4 0 0\n[solver]\nt_end = 1e-3\ndt_min = 1e-5\n"
+                       f"[initial]\npreset = {preset}\n{lines}[output]\ndirectory = {out}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg)])
+        assert (code == 0 or (code == 1 and "physics abort" in err.getvalue())
+                or (code == 2 and re.search(r"line \d+", err.getvalue()))), (code, err.getvalue())
 
     def test_step_limit_below_dt_min_aborts(self, tmp_path, capsys):
         # stable_dt is 3.9e-13 here: without the guard the run crawls through ~2,300 steps

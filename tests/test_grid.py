@@ -3,7 +3,6 @@ import pytest
 
 from gasbox.grid import (
     build_grid,
-    diff_minus,
     diff_plus,
     discrete_norm,
     gradient_norm_l2,
@@ -98,20 +97,12 @@ class TestDifferenceOperators:
         g = build_grid((4, 4, 4))
         a = np.full(g.shape, 3.7)
         assert np.all(diff_plus(a, g, 0) == 0.0)
-        assert np.all(diff_minus(a, g, 1) == 0.0)
 
     def test_divided_difference_values(self):
         g = build_grid((2, 0, 0))  # h = 0.5
         a = np.array([0.0, 1.0, 4.0]).reshape(3, 1, 1)
         d = diff_plus(a, g, 0)
         assert np.array_equal(d[:, 0, 0], [2.0, 6.0])
-
-    def test_backward_difference_wall_convention(self):
-        g = build_grid((4, 0, 0))
-        a = np.arange(5.0).reshape(5, 1, 1)
-        d = diff_minus(a, g, 0)
-        assert d[0, 0, 0] == 0.0
-        assert np.allclose(d[1:, 0, 0], 4.0)
 
     def test_component_axis_is_skipped(self):
         g = build_grid((4, 4, 4))
