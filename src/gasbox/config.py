@@ -31,7 +31,7 @@ _VARIANTS = {
     "second_order": LambdaVariant.SECOND_ORDER,
 }
 
-# section -> {key: parser}; parsers raise ValueError on bad input
+# section -> the keys it accepts
 _SCHEMA = {
     "grid": {"n", "extent"},
     "gas": {"gamma", "r", "mu0", "mu1", "kappa_r"},
@@ -76,16 +76,32 @@ def _line_of(text, section, key=None):
 
 
 def _fail(text, section, key, message):
+    """Raise at ``key``'s line, or at the section header if ``key`` is None."""
     lineno = _line_of(text, section, key)
     where = f"line {lineno}: " if lineno else ""
-    raise ConfigError(f"{where}[{section}] {key}: {message}")
+    raise ConfigError(f"{where}[{section}]{f' {key}' if key else ''}: {message}")
+
+
+def _named(keys, exc):
+    """The ``keys`` that the message of ``exc`` names, in order."""
+    return [k for k in keys if re.search(rf"\b{k}\b", str(exc), re.IGNORECASE)]
 
 
 def _fail_named(text, section, keys, exc):
     """Report ``exc`` under the first of ``keys`` its message names, else keys[0]."""
-    message = str(exc)
-    named = [k for k in keys if re.search(rf"\b{k}\b", message, re.IGNORECASE)]
-    _fail(text, section, (named or keys)[0], message)
+    _fail(text, section, (_named(keys, exc) or keys)[0], str(exc))
+
+
+def _initial_culprit(cfg):
+    """The first key of ``cfg.initial`` without which the block passes
+    :func:`~gasbox.initial.check_initial`, or None if no single key does."""
+    for key in [k for k in cfg.initial if k != "preset"]:
+        try:
+            check_initial({k: v for k, v in cfg.initial.items() if k != key}, cfg.grid_n, cfg.extent, cfg.gas)
+            return key
+        except ValueError:
+            pass
+    return None
 
 
 def _floats(value, count):
@@ -151,11 +167,11 @@ def parse_config(text):
     except ValueError as exc:
         _fail_named(text, "grid", ("n", "extent"), exc)
 
-    gas_kwargs = {}
-    for key, attr in (("gamma", "gamma"), ("r", "R"), ("mu0", "mu0"),
-                      ("mu1", "mu1"), ("kappa_r", "kappa_r")):
-        if parser.has_option("gas", key):
-            gas_kwargs[attr] = get("gas", key, float, None)
+    # only the keys the config sets: the defaults live in the dataclasses
+    gas_kwargs = {attr: get("gas", key, float, None)
+                  for key, attr in (("gamma", "gamma"), ("r", "R"), ("mu0", "mu0"),
+                                    ("mu1", "mu1"), ("kappa_r", "kappa_r"))
+                  if parser.has_option("gas", key)}
     try:
         cfg.gas = GasParams(**gas_kwargs)
     except ValueError as exc:
@@ -167,14 +183,12 @@ def parse_config(text):
             raise ValueError(f"expected one of {sorted(set(_VARIANTS))}")
         return _VARIANTS[v]
 
-    variant = get("solver", "lambda_variant", _variant, SolverParams().lambda_variant)
+    solver_kwargs = {key: get("solver", key, convert, None)
+                     for key, convert in (("cfl", float), ("lambda_variant", _variant),
+                                          ("dt_min", float), ("max_rejects", int))
+                     if parser.has_option("solver", key)}
     try:
-        cfg.solver = SolverParams(
-            cfl=get("solver", "cfl", float, 0.5),
-            lambda_variant=variant,
-            dt_min=get("solver", "dt_min", float, 1.0e-12),
-            max_rejects=get("solver", "max_rejects", int, 12),
-        )
+        cfg.solver = SolverParams(**solver_kwargs)
     except ValueError as exc:
         _fail_named(text, "solver", ("cfl", "dt_min", "max_rejects"), exc)
     cfg.t_end = get("solver", "t_end", float, cfg.t_end)
@@ -193,7 +207,9 @@ def parse_config(text):
     try:
         check_initial(cfg.initial, cfg.grid_n, cfg.extent, cfg.gas)
     except ValueError as exc:
-        _fail_named(text, "initial", [k for k in cfg.initial if k != "preset"] + ["preset"], exc)
+        # a message naming no key: blame the key whose removal admits the block
+        named = _named([k for k in cfg.initial if k != "preset"] + ["preset"], exc)
+        _fail(text, "initial", named[0] if named else _initial_culprit(cfg), str(exc))
 
     cfg.output_dir = get("output", "directory", str, cfg.output_dir)
     cfg.cadence = get("output", "cadence", int, cfg.cadence)

@@ -35,7 +35,7 @@ from .fluxes import (
 )
 from .grid import _slab, discrete_norm, gradient_norm_l2
 from .means import arith_mean
-from .rhs import assemble_rhs, face_blocks, face_fluxes
+from .rhs import assemble_rhs, face_blocks
 from .thermo import delta_w, entropy_function, entropy_variables, primitives_from_conserved
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "write_csv",
     "entropy_dissipation",
     "shuffle_gap_and_scale",
-    "energy_balance_residuals",
+    "balance_residuals",
     "ke_balance_residual",
     "entropy_balance_residual",
     "ConvergenceRow",
@@ -208,7 +208,7 @@ def shuffle_gap_and_scale(face, variant, gas):
 
 
 # ---------------------------------------------------------------------------
-# kinetic / internal energy balances (volume form, exact at wall cells)
+# energy and entropy balances (volume form, exact at wall cells)
 
 
 def _pad_faces(face_vals, axis):
@@ -233,27 +233,60 @@ def _two_face_node_sum(face_vals, area, axis):
     return area * (0.5 * (_slab(ext, axis, None, -1) + _slab(ext, axis, 1, None)))
 
 
-def _ke_pieces(u5, grid, gas, variant, prim=None, tend=None):
-    """Shared assembly for the kinetic- and internal-energy residuals."""
-    if prim is None:
-        prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    if tend is None:
-        tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
-    u, v, w = prim.vel
-    dK = -0.5 * prim.speed_sq * tend[0] + u * tend[1] + v * tend[2] + w * tend[3]
-    vol_dK = grid.cell_volumes * dK
+@dataclass(frozen=True)
+class BalanceResiduals:
+    """The tendency of a field and its balance defects (:func:`balance_residuals`)."""
 
+    tend: np.ndarray
+    ke: float
+    ie: float
+    entropy: float
+    production: float
+    dissipation: float
+    slack: float
+
+
+def balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+    """The tendency of ``u5`` under ``variant`` and the defects of the
+    kinetic-energy, internal-energy and entropy balances, from one
+    assembly: the monitors read the face fluxes of :func:`assemble_rhs`.
+
+    The kinetic-energy balance (per node, volume form)
+
+        V dK/dt + sum_ax S jump(KE flux) - pdv = -dis
+
+    is an algebraic identity of the scheme for admissible fields, wall
+    nodes included.  Subtracting it from the total-energy row of the
+    scheme leaves the internal-energy balance
+
+        V d(p/(gamma-1))/dt + V pdv - V dis
+            + sum_ax S jump(conv. internal-energy flux)
+            = sum_ax S jump(coefficient * pressure-diffusion flux
+                                + radiative flux),
+
+    again exactly; the z-direction pieces enter with the z difference.
+    ``ke`` and ``ie`` are their max-norm defects, scale-normalized; both
+    measure rounding only.  The global entropy balance
+
+        sum V w.du/dt + (physical dissipation) + (shuffle slack) = 0
+
+    gives ``entropy``, its normalized defect, with ``production`` (the
+    first sum) and the two nonnegative parts, so callers can assert the
+    inequality d/dt sum V U <= 0.
+    """
+    prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
     ke_div, pdv, dis, ie_conv_div, ie_diff_div = np.zeros((5,) + grid.shape)
-    scale = np.maximum(1.0, np.abs(vol_dK))
+    scale = np.ones(grid.shape)
+    dissipation = slack = 0.0
 
     # each block holds whole lines along its axis, so the node terms it
     # writes into its view of the node arrays are complete for that axis
-    for face, index in face_blocks(prim, grid):
+    def on_block(face, index, total, coeffs):
+        nonlocal dissipation, slack
         ax = face.axis
         left, right = face.left, face.right
         h = grid.spacing[ax]
         area = np.expand_dims(grid.face_area(ax)[index[-1]], ax)
-        total, coeffs = face_fluxes(face, grid, gas, variant)
 
         ke_flux = sum((face.vel_bar[c] * total[c + 1] for c in range(3)),
                       -0.5 * arith_mean(left.speed_sq, right.speed_sq) * total[0])
@@ -275,73 +308,36 @@ def _ke_pieces(u5, grid, gas, variant, prim=None, tend=None):
             ie_diff = ie_diff + _radiation_row(face, h, gas)
         ie_diff_div[index] += _node_difference(ie_diff, area, ax)
 
-    return prim, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale
+        dissipation += _face_dissipation(face, index, grid, gas)
+        slack += _area_sum(shuffle_gap_and_scale(face, variant, gas)[0], face, index, grid)
 
-
-def energy_balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, prim=None, tend=None):
-    """Max-norm defects ``(ke, ie)`` of the kinetic- and internal-energy
-    balances, scale-normalized, from one assembly of their pieces.
-
-    The kinetic-energy balance (per node, volume form)
-
-        V dK/dt + sum_ax S jump(KE flux) - pdv = -dis
-
-    is an algebraic identity of the scheme for admissible fields, wall
-    nodes included.  Subtracting it from the total-energy row of the
-    scheme leaves the internal-energy balance
-
-        V d(p/(gamma-1))/dt + V pdv - V dis
-            + sum_ax S jump(conv. internal-energy flux)
-            = sum_ax S jump(coefficient * pressure-diffusion flux
-                                + radiative flux),
-
-    again exactly; the z-direction pieces enter with the z difference.
-    Both return values measure rounding only.  ``prim`` and ``tend``, the
-    primitives and the tendency of ``u5`` under ``variant``, are evaluated
-    unless handed in.
-    """
-    _, tend, vol_dK, ke_div, pdv, dis, ie_conv_div, ie_diff_div, scale = _ke_pieces(
-        u5, grid, gas, variant, prim, tend)
+    tend = assemble_rhs(u5, grid, gas, variant, prim=prim, on_block=on_block)
+    vol = grid.cell_volumes
+    u, v, w = prim.vel
+    vol_dK = vol * (-0.5 * prim.speed_sq * tend[0] + u * tend[1] + v * tend[2] + w * tend[3])
+    np.maximum(scale, np.abs(vol_dK), out=scale)
     ke = float(np.max(np.abs(vol_dK + ke_div - pdv + dis) / scale))
 
-    vol_ie_t = grid.cell_volumes * tend[4] - vol_dK
+    vol_ie_t = vol * tend[4] - vol_dK
     resid = vol_ie_t + pdv - dis + ie_conv_div - ie_diff_div
-    scale = np.maximum(scale, np.abs(ie_conv_div))
-    scale = np.maximum(scale, np.abs(ie_diff_div))
-    scale = np.maximum(scale, np.abs(vol_ie_t))
-    return ke, float(np.max(np.abs(resid) / scale))
+    for part in (ie_conv_div, ie_diff_div, vol_ie_t):
+        np.maximum(scale, np.abs(part), out=scale)
+    ie = float(np.max(np.abs(resid) / scale))
+
+    production = float(np.sum(vol * np.sum(entropy_variables(prim, gas) * tend, axis=0)))
+    entropy = abs(production + dissipation + slack) / max(1.0, abs(production), dissipation, abs(slack))
+    return BalanceResiduals(tend, ke, ie, entropy, production, dissipation, slack)
 
 
 def ke_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
-    """Kinetic-energy part of :func:`energy_balance_residuals`."""
-    return energy_balance_residuals(u5, grid, gas, variant)[0]
+    """``ke`` of :func:`balance_residuals`."""
+    return balance_residuals(u5, grid, gas, variant).ke
 
 
-def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, prim=None, tend=None):
-    """Defect of the global entropy balance
-
-        sum V w.du/dt + (physical dissipation) + (shuffle slack) = 0,
-
-    returned normalized; the two nonnegative parts are returned as well,
-    so callers can assert the inequality d/dt sum V U <= 0.  ``prim`` and
-    ``tend`` are as in :func:`energy_balance_residuals`.
-    """
-    if prim is None:
-        prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    if tend is None:
-        tend = assemble_rhs(u5, grid, gas, variant, prim=prim)
-    w = entropy_variables(prim, gas)
-    production = float(np.sum(grid.cell_volumes * np.sum(w * tend, axis=0)))
-
-    dissipation = slack = 0.0
-    for face, index in face_blocks(prim, grid):
-        dissipation += _face_dissipation(face, index, grid, gas)
-        gap, _ = shuffle_gap_and_scale(face, variant, gas)
-        slack += _area_sum(gap, face, index, grid)
-
-    scale = max(1.0, abs(production), dissipation, abs(slack))
-    residual = abs(production + dissipation + slack) / scale
-    return residual, production, dissipation, slack
+def entropy_balance_residual(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
+    """``(entropy, production, dissipation, slack)`` of :func:`balance_residuals`."""
+    r = balance_residuals(u5, grid, gas, variant)
+    return r.entropy, r.production, r.dissipation, r.slack
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class Grid:
 
     Attributes
     ----------
-    n_intervals : per-axis interval counts (0 marks a degenerate axis)
     extent : box side lengths
     nodes : per-axis node coordinate arrays, lengths n+1 (or 1)
     widths : per-axis dual (control-volume) widths, lengths n+1 (or 1):
@@ -51,7 +50,6 @@ class Grid:
     active_axes : the axes with n >= 2, along which fluxes are computed
     """
 
-    n_intervals: tuple
     extent: tuple
     nodes: tuple
     widths: tuple
@@ -65,10 +63,6 @@ class Grid:
     @property
     def shape(self):
         return tuple(w.size for w in self.widths)
-
-    @property
-    def box_volume(self):
-        return self.extent[0] * self.extent[1] * self.extent[2]
 
     def face_area(self, axis):
         return (self.face_area_x, self.face_area_y, self.face_area_z)[axis]
@@ -162,7 +156,6 @@ def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
         a.setflags(write=False)
 
     return Grid(
-        n_intervals=n_per_axis,
         extent=extent,
         nodes=tuple(nodes),
         widths=tuple(widths),

@@ -109,35 +109,34 @@ def face_blocks(prim, grid):
 
 
 def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, t=0.0,
-                 prim=None, tilde_nu_max=None):
+                 prim=None, on_block=None):
     """Tendency du/dt of the full scheme on an admissible field.
 
     Raises :class:`~gasbox.thermo.PositivityError` if the state is not
     admissible (checked by the primitive conversion unless ``prim`` hands
     in the primitives of ``u5``).  ``source(grid, t)``, if given, is added
-    before the wall momentum rows are frozen.  If ``tilde_nu_max`` is a
-    list, the largest combined face diffusion coefficient of each active
-    axis is appended to it.
+    before the wall momentum rows are frozen.  ``on_block(face, index,
+    flux, coeffs)``, if given, is called for each block of
+    :func:`face_blocks` with the results of :func:`face_fluxes`, which it
+    must not write.
     """
     u5 = np.asarray(u5, dtype=float)
     if prim is None:
         prim = primitives_from_conserved(u5, gas)
     tend = np.zeros_like(u5)
-    coeff_max = {}
     for face, index in face_blocks(prim, grid):
         # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width in place on the block's
         # view, the wall faces carrying no flux
         ax, c = face.axis, face.axis + 1
         flux, coeffs = face_fluxes(face, grid, gas, variant)
-        coeff_max[ax] = max(coeff_max.get(ax, -np.inf), float(np.max(coeffs.tilde_nu)))
+        if on_block is not None:
+            on_block(face, index, flux, coeffs)
         block = tend[(slice(None),) + index]
         inv_w = grid.inv_widths[ax]
         diff = np.subtract(_slab(flux, c, 1, None), _slab(flux, c, None, -1))
         _slab(block, c, 1, -1)[...] -= np.multiply(diff, _slab(inv_w, ax, 1, -1), out=diff)
         _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) * _slab(inv_w, ax, 0, 1)
         _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) * _slab(inv_w, ax, -1, None)
-    if tilde_nu_max is not None:
-        tilde_nu_max.extend(coeff_max.values())
     if source is not None:
         tend += source(grid, t)
     _zero_wall_momenta(tend, grid)

@@ -64,19 +64,12 @@ class RunAbort(Exception):
 def _step_limit(prim, tilde_nu_max, grid, gas, params):
     """CFL-scaled step from primitives and the largest face tilde-nu."""
     sound = np.sqrt(gas.gamma * gas.R * prim.T)
-    dt_conv = np.inf
+    dt = min(grid.spacing[ax] / np.max(np.abs(prim.vel[ax]) + sound) for ax in grid.active_axes)
+    h_min = min(grid.spacing[ax] for ax in grid.active_axes)
     diff_max = tilde_nu_max
-    h_min = np.inf
-    for ax in grid.active_axes:
-        h = grid.spacing[ax]
-        h_min = min(h_min, h)
-        wave = np.max(np.abs(prim.vel[ax]) + sound)
-        dt_conv = min(dt_conv, h / wave)
     if gas.kappa_r > 0.0:
         rad = 4.0 * gas.kappa_r * prim.T ** 3 / (gas.c_v * prim.rho)
         diff_max = max(diff_max, float(np.max(rad)))
-
-    dt = dt_conv
     if diff_max > 0.0:
         dt = min(dt, h_min * h_min / (2.0 * len(grid.active_axes) * diff_max))
     return params.cfl * dt
@@ -142,16 +135,20 @@ class StepController:
         self.source = source
         self.rejections = 0
 
-    def _rhs(self, u, t, prim=None, tilde_nu_max=None):
+    def _rhs(self, u, t, prim=None, on_block=None):
         return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant,
-                            source=self.source, t=t, prim=prim, tilde_nu_max=tilde_nu_max)
+                            source=self.source, t=t, prim=prim, on_block=on_block)
 
     def first_stage(self, u, t, prim):
         """k1 = L(u, t) and :func:`stable_dt` of ``u``, both from the
         primitives ``prim`` of ``u`` and the same face bundles."""
-        tilde_nu_max = []
-        k1 = self._rhs(u, t, prim=prim, tilde_nu_max=tilde_nu_max)
-        return k1, _step_limit(prim, max(tilde_nu_max), self.grid, self.gas, self.params)
+        block_max = []
+
+        def on_block(face, index, flux, coeffs):
+            block_max.append(float(np.max(coeffs.tilde_nu)))
+
+        k1 = self._rhs(u, t, prim=prim, on_block=on_block)
+        return k1, _step_limit(prim, max(block_max), self.grid, self.gas, self.params)
 
     def attempt_step(self, u, t, dt, k1=None):
         """Advance one step, halving dt on positivity faults.

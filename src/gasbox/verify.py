@@ -8,12 +8,12 @@ uniform in [-10, 10].
 
 import numpy as np
 
-from .diagnostics import energy_balance_residuals, entropy_balance_residual, shuffle_gap_and_scale
+from .diagnostics import balance_residuals, shuffle_gap_and_scale
 from .fluxes import LambdaVariant, convective_flux, density_jump_sensor, lambda_alt_coeffs
 from .grid import build_grid, sbp_residual
 from .means import arith_mean, geo_mean, log_mean, pair_means, split_average_residual
-from .rhs import apply_boundary_state, assemble_rhs
-from .thermo import GasParams, conserved_from_primitives, face_means, primitives, primitives_from_conserved
+from .rhs import apply_boundary_state
+from .thermo import GasParams, conserved_from_primitives, face_means, primitives
 
 __all__ = ["BOUNDS", "within_bound", "random_states", "random_admissible_field", "run_verification",
            "check_means", "check_flux_consistency", "check_mass_flux_coefficients",
@@ -206,15 +206,12 @@ def check_field_identities(rng, gas, sizes):
         grid = build_grid((n, n, n))
         vol = grid.cell_volumes
         for _ in range(count):
-            u5 = random_admissible_field(rng, grid, gas)
-            prim = primitives_from_conserved(u5, gas)
-            tend = assemble_rhs(u5, grid, gas, prim=prim)
-            ke, ie = energy_balance_residuals(u5, grid, gas, prim=prim, tend=tend)
-            worst_ke, worst_ie = max(worst_ke, ke), max(worst_ie, ie)
-            resid, production, _, _ = entropy_balance_residual(u5, grid, gas, prim=prim, tend=tend)
-            worst_ent = max(worst_ent, resid)
-            if production > 1e-11 * max(1.0, abs(production)):
+            r = balance_residuals(random_admissible_field(rng, grid, gas), grid, gas)
+            worst_ke, worst_ie = max(worst_ke, r.ke), max(worst_ie, r.ie)
+            worst_ent = max(worst_ent, r.entropy)
+            if r.production > 1e-11 * max(1.0, abs(r.production)):
                 worst_ent = np.inf
+            tend = r.tend
             flux_scale = max(1.0, float(np.sum(vol * np.abs(tend[0]))), float(np.sum(vol * np.abs(tend[4]))))
             worst_cons = max(worst_cons,
                              abs(float(np.sum(vol * tend[0]))) / flux_scale,

@@ -4,8 +4,15 @@ Each test prints a single PASS line with the measured quantities (run
 pytest with -s or -rA to see them).  Shared runs are module-scoped
 fixtures so the conservation run and the convergence sweeps are executed
 once.
+
+Criteria 1, 3, 4 and 7 also assert a wall-time budget (60, 10, 30 and
+300 s).  These are the budgets the acceptance criteria set, kept as
+written: on a 2-vCPU Xeon with Python 3.11 and numpy 2.4 the runs take
+about 3.3, 0.3, 1.0 and 6 s, at least 18x inside them, so only a
+slowdown of that order trips one.
 """
 
+import math
 import time
 
 import numpy as np
@@ -69,7 +76,7 @@ def conservation_run():
         records.append(totals(u, grid, GAS_3D, t=t, dt=dt_used))
         speed = np.sqrt(prim.speed_sq)
         momentum_scale = max(momentum_scale,
-                             float(np.max(prim.rho)) * float(np.max(speed)) * grid.box_volume)
+                             float(np.max(prim.rho)) * float(np.max(speed)) * math.prod(grid.extent))
     elapsed = time.perf_counter() - start
     return {
         "grid": grid,
@@ -128,6 +135,7 @@ def test_criterion_1_conservation(conservation_run):
     momentum_bound = 1e-12 * conservation_run["momentum_scale"]
     assert worst_momentum <= momentum_bound
 
+    # acceptance budget, far above the run time (module docstring)
     assert conservation_run["elapsed"] <= 60.0
     report(1, f"mass drift {mass_drift:.2e}, energy drift {energy_drift:.2e}, "
               f"|momentum| {worst_momentum:.2e} <= {momentum_bound:.2e}, "
@@ -150,6 +158,7 @@ def test_criterion_3_shuffle_condition():
     start = time.perf_counter()
     worst = assert_within_bounds(check_shuffle_gaps(rng, GAS_3D, 10**5))
     elapsed = time.perf_counter() - start
+    # acceptance budget, far above the run time (module docstring)
     assert elapsed <= 10.0
     report(3, f"min gap/scale {min(worst.values()):.2e} over 1e5 pairs x 3 axes x 2 sensors "
               f"in {elapsed:.1f}s")
@@ -161,6 +170,7 @@ def test_criterion_4_mean_algebra():
     assert_within_bounds(check_means(rng, GAS_3D, 10**6))
     assert_within_bounds(check_mass_flux_coefficients(rng, GAS_3D, 10**6))
     elapsed = time.perf_counter() - start
+    # acceptance budget, far above the run time (module docstring)
     assert elapsed <= 30.0
     report(4, f"orderings, split identity, 1/2 bound, sensor dominance and "
               f"coefficient positivity over 1e6 pairs in {elapsed:.1f}s")
@@ -189,6 +199,7 @@ def test_criterion_7_grid_convergence(convergence_runs):
     second_l1, second_l2 = second[-2].order_l1, second[-2].order_l2
     assert min(first_l1, first_l2) >= 0.8
     assert min(second_l1, second_l2) >= 1.8
+    # acceptance budget, far above the run time (module docstring)
     assert convergence_runs["elapsed"] <= 300.0
     report(7, f"observed orders on finest pair: floored sensor "
               f"L1 {first_l1:.2f} / L2 {first_l2:.2f} (>= 0.8), floorless "

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gasbox.grid import build_grid
 from gasbox.initial import PRESETS, initial_condition
 from gasbox.mms import MMSWave, mms_from_initial
 from gasbox.snapshot import read_snapshot, write_snapshot
+from gasbox.thermo import GasParams
+from gasbox.timestep import SolverParams
 from gasbox.verify import BOUNDS, run_verification
 
 MINIMAL = """
@@ -35,6 +38,8 @@ class TestParseConfig:
         assert cfg.solver.lambda_variant is LambdaVariant.FIRST_ORDER
         assert cfg.initial["preset"] == "uniform_rest"
         assert cfg.gas.gamma == 1.4
+        assert cfg.solver == SolverParams()
+        assert cfg.gas == GasParams()
 
     def test_gamma_out_of_window_cites_bound_and_line(self):
         text = "[gas]\ngamma = 1.8\n"
@@ -310,7 +315,7 @@ mode = mms
                        "t_end = 0.002\n[initial]\npreset = gaussian_density_pulse\n"
                        "[convergence]\ngrids = 4 8\nmode = richardson\n")
         assert main(["converge", str(cfg)]) == 0
-        assert [g.n_intervals for g in grids] == [(4, 4, 0), (8, 8, 0)]
+        assert [g.shape for g in grids] == [(5, 5, 1), (9, 9, 1)]
         assert all(g.active_axes == (0, 1) for g in grids)
         assert "L2 error" in capsys.readouterr().out
 
@@ -350,16 +355,28 @@ mode = mms
          r"line 10: \[initial\] temperature:"),
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = thermal_spot\nwidth = inf",
          r"line 10: \[initial\] width:"),
+        # an inadmissible state names no key: the one whose removal admits the
+        # block is at fault, and the header when no single key is
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\nfloor = 1.0\n"
+         "amplitude = -5", r"line 11: \[initial\] amplitude:"),
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\nfloor = -1\n"
+         "amplitude = -1", r"line 8: \[initial\]: "),
     ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
             "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative", "mms-floor",
-            "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf"])
+            "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf",
+            "amplitude-after-floor", "floor-and-amplitude"])
     def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
         text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"
                 f"[output]\ndirectory = {tmp_path / 'out'}\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text.replace(old, new))
-        assert main(["run", str(cfg)]) == 2
-        assert re.search(where, capsys.readouterr().err)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(where, err)
+        # the config error is all the run prints: one line, no numpy warning
+        assert err.count("\n") == 1 and [str(w.message) for w in caught] == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=100, deadline=None)

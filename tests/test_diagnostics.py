@@ -8,10 +8,9 @@ import gasbox.rhs
 from gasbox.diagnostics import (
     CSV_HEADER,
     _dissipation_bracket,
-    _ke_pieces,
     apriori_norm_report,
+    balance_residuals,
     convergence_study,
-    energy_balance_residuals,
     entropy_balance_residual,
     entropy_dissipation,
     format_apriori_report,
@@ -23,7 +22,7 @@ from gasbox.diagnostics import (
 )
 from gasbox.fluxes import LambdaVariant, physical_coeff
 from gasbox.grid import build_grid
-from gasbox.rhs import face_blocks
+from gasbox.rhs import assemble_rhs, face_blocks
 from gasbox.thermo import (
     GasParams,
     conserved_from_primitives,
@@ -125,14 +124,15 @@ class TestFaceBlocks:
     @pytest.mark.parametrize("n", [(7, 6, 5), (6, 9, 0), (12, 0, 0)])
     def test_blocked_monitors_match_one_block(self, rng, gas, monkeypatch, n):
         # node terms, maxima and the step limit are elementwise per face, so
-        # blocks of a few planes change no bit of them
+        # blocks of a few planes change no bit of them (the face sums of
+        # the entropy balance are summed block by block, so they can)
         g = build_grid(n)
         u5 = random_admissible_field(rng, g, gas)
         params = SolverParams(cfl=0.4)
 
         def monitors():
-            return (energy_balance_residuals(u5, g, gas), stable_dt(u5, g, gas, params),
-                    entropy_balance_residual(u5, g, gas)[1])
+            r = balance_residuals(u5, g, gas)
+            return r.tend.tobytes(), r.ke, r.ie, r.production, stable_dt(u5, g, gas, params)
 
         whole = monitors()
         monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 60)
@@ -171,26 +171,41 @@ class TestInternalEnergyBalance:
         g = build_grid(n)
         for _ in range(5):
             u5 = random_admissible_field(rng, g, gas)
-            assert energy_balance_residuals(u5, g, gas)[1] <= 1e-10
+            assert balance_residuals(u5, g, gas).ie <= 1e-10
 
 
 class TestEnergyBalancePair:
     @pytest.mark.parametrize("variant", list(LambdaVariant))
     def test_pair_equals_separate_residuals(self, rng, gas, variant):
+        # the views and the tendency are those of the one assembly
         g = build_grid((8, 8, 8))
         for _ in range(3):
             u5 = random_admissible_field(rng, g, gas)
-            ke, ie = energy_balance_residuals(u5, g, gas, variant)
-            assert ke == ke_balance_residual(u5, g, gas, variant)
-            # each residual evaluated on its own from the shared pieces
-            _, tend, vol_dK, ke_div, pdv, dis, ie_conv, ie_diff, scale = _ke_pieces(
+            r = balance_residuals(u5, g, gas, variant)
+            assert r.ke == ke_balance_residual(u5, g, gas, variant)
+            assert (r.entropy, r.production, r.dissipation, r.slack) == entropy_balance_residual(
                 u5, g, gas, variant)
-            assert ke == float(np.max(np.abs(vol_dK + ke_div - pdv + dis) / scale))
-            vol_ie_t = g.cell_volumes * tend[4] - vol_dK
-            ie_scale = np.maximum(np.maximum(np.maximum(scale, np.abs(ie_conv)),
-                                             np.abs(ie_diff)), np.abs(vol_ie_t))
-            resid = vol_ie_t + pdv - dis + ie_conv - ie_diff
-            assert ie == float(np.max(np.abs(resid) / ie_scale))
+            assert np.array_equal(r.tend, assemble_rhs(u5, g, gas, variant))
+
+    # float.hex of (ke, ie, entropy, production, dissipation, slack) of one
+    # seeded field, recorded from separate energy and entropy face walks:
+    # reading the tendency's own fluxes must not move a bit
+    PINNED = {
+        LambdaVariant.FIRST_ORDER: (
+            "0x1.da25ea9d145c2p-51", "0x1.b380eed4bde67p-51", "0x1.1e4de29a69df5p-53",
+            "-0x1.c9ce8428fdb3ep+29", "0x1.1a08dfba208b8p+29", "0x1.5f8b48ddba50ap+28"),
+        LambdaVariant.SECOND_ORDER: (
+            "0x1.9745f8bb44a4ap-51", "0x1.4e5cd79cafa18p-50", "0x1.1e52c7dace3c1p-54",
+            "-0x1.c9c6b051486f2p+29", "0x1.1a08dfba208b8p+29", "0x1.5f7ba12e4fc73p+28"),
+    }
+
+    @pytest.mark.parametrize("variant", list(LambdaVariant))
+    def test_pinned_values_bitwise(self, gas, variant):
+        g = build_grid((7, 6, 5))
+        u5 = random_admissible_field(np.random.default_rng(3), g, gas)
+        r = balance_residuals(u5, g, gas, variant)
+        got = (r.ke, r.ie, r.entropy, r.production, r.dissipation, r.slack)
+        assert tuple(x.hex() for x in got) == self.PINNED[variant]
 
 
 class TestShuffleGap:

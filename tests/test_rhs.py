@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,7 @@ class TestSourceHook:
 
         tend = assemble_rhs(u5, g, gas, source=source)
         total = float(np.sum(g.cell_volumes * tend[0]))
-        assert total == pytest.approx(s * g.box_volume, rel=1e-13)
+        assert total == pytest.approx(s * math.prod(g.extent), rel=1e-13)
 
     def test_wall_momentum_rows_override_source(self, gas):
         g = build_grid((4, 4, 4))
@@ -225,12 +227,21 @@ class TestBlocks:
         # into blocks of a few planes (the last one partial) changes no bit
         g = build_grid(n)
         u5 = random_admissible_field(rng, g, gas)
-        one_block, small_blocks = [], []
-        whole = assemble_rhs(u5, g, gas, variant, tilde_nu_max=one_block)
+
+        def run():
+            axis_max = {}
+
+            def on_block(face, index, flux, coeffs):
+                m = float(np.max(coeffs.tilde_nu))
+                axis_max[face.axis] = max(axis_max.get(face.axis, -np.inf), m)
+
+            return assemble_rhs(u5, g, gas, variant, on_block=on_block), axis_max
+
+        whole, one_block = run()
         monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 60)
-        blocked = assemble_rhs(u5, g, gas, variant, tilde_nu_max=small_blocks)
+        blocked, small_blocks = run()
         assert np.array_equal(blocked, whole)
-        assert small_blocks == one_block
+        assert small_blocks == one_block and sorted(one_block) == list(g.active_axes)
 
 
 class TestFaceFluxes:
