@@ -9,40 +9,28 @@ Subcommands:
 * ``verify``             run the built-in randomized property sweep
 
 Exit codes: 0 success, 1 physics abort / failed verification, 2 bad
-configuration or usage.  GASBOX_NUM_THREADS, if set, is forwarded to the
-BLAS thread-count variables before numpy gets to spawn anything.
+configuration or usage.
 """
 
 import argparse
-import os
 import pathlib
 import sys
 
+import numpy as np
 
-def _forward_thread_env():
-    n = os.environ.get("GASBOX_NUM_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_forward_thread_env()
-
-import numpy as np  # noqa: E402  (thread env must be set first)
-
-from .config import ConfigError, parse_config  # noqa: E402
-from .diagnostics import (  # noqa: E402
+from .config import ConfigError, parse_config
+from .diagnostics import (
     apriori_norm_report,
     convergence_study,
     format_apriori_report,
     format_convergence_table,
     write_csv,
 )
-from .driver import mms_from_initial, simulate  # noqa: E402
-from .grid import build_grid  # noqa: E402
-from .snapshot import write_snapshot  # noqa: E402
-from .timestep import RunAbort  # noqa: E402
-from .verify import run_verification  # noqa: E402
+from .driver import mms_from_initial, simulate
+from .grid import build_grid
+from .snapshot import write_snapshot
+from .timestep import RunAbort
+from .verify import run_verification
 
 __all__ = ["main"]
 

@@ -1,14 +1,17 @@
 """Run configuration: INI-style text with strict validation.
 
-Grammar: the sections [grid], [gas], [solver], [initial], [output] and
-the optional [convergence]; keys are listed in ``_SCHEMA``.  Unknown
-sections or keys are rejected with the offending line number, as are
-invalid values.  See the README for the full key reference and defaults.
+The grammar, read in one pass by ``_read``: ``[section]`` headers and
+``key = value`` or ``key: value`` lines; ``#`` or ``;`` at the start of a
+line or after whitespace starts a comment.  Names are case-insensitive,
+leading whitespace is not significant and values are literal (``%`` is a
+character).  Any other line is rejected at its line number, as is a
+section or key that ``_SCHEMA`` does not list (``[DEFAULT]`` among them),
+a repeated one, a key before the first header and a continuation line.
+``_SCHEMA`` also holds the conversion that checks each value; the README
+lists the keys and their defaults.
 """
 
-import configparser
 from dataclasses import dataclass, field
-import math
 import re
 
 from .fluxes import LambdaVariant
@@ -22,25 +25,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 class ConfigError(Exception):
     """Invalid configuration text; message carries a line number when known."""
-
-
-_VARIANTS = {
-    "first-order": LambdaVariant.FIRST_ORDER,
-    "first_order": LambdaVariant.FIRST_ORDER,
-    "second-order": LambdaVariant.SECOND_ORDER,
-    "second_order": LambdaVariant.SECOND_ORDER,
-}
-
-# section -> the keys it accepts
-_SCHEMA = {
-    "grid": {"n", "extent"},
-    "gas": {"gamma", "r", "mu0", "mu1", "kappa_r"},
-    "solver": {"cfl", "lambda_variant", "t_end", "dt_min", "max_rejects"},
-    "initial": {"preset", "rho", "temperature", "floor", "amplitude", "width",
-                "rho_amp", "temp_amp", "vel_amp", "omega"},
-    "output": {"directory", "cadence", "snapshots", "apriori_report"},
-    "convergence": {"grids", "mode"},
-}
 
 
 @dataclass
@@ -59,25 +43,107 @@ class RunConfig:
     convergence_mode: str = "mms"
 
 
-def _line_of(text, section, key=None):
-    """Best-effort line number of a section header or of a key inside it."""
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if key is None and current == section:
-                return lineno
-        elif key is not None and current == section and line and not line.startswith(("#", ";")):
-            name = line.split("=", 1)[0].split(":", 1)[0].strip().lower()
-            if name == key:
-                return lineno
-    return None
+def _numbers(kind, count=None):
+    """Conversion of numbers split by blanks or commas: any number, or
+    ``count`` of them, one value standing for all."""
+    def convert(value):
+        parts = value.replace(",", " ").split()
+        if count is not None and len(parts) == 1:
+            parts = parts * count
+        if count is not None and len(parts) != count:
+            raise ValueError(f"expected {count} values")
+        return tuple(kind(p) for p in parts)
+    return convert
 
 
-def _fail(text, section, key, message):
-    """Raise at ``key``'s line, or at the section header if ``key`` is None."""
-    lineno = _line_of(text, section, key)
+def _one_of(options):
+    """Conversion of a case-insensitive name to ``options[name]``."""
+    def convert(value):
+        try:
+            return options[value.lower()]
+        except KeyError:
+            raise ValueError(f"expected one of {tuple(options)}") from None
+    return convert
+
+
+def _checked(kind, accept, rule):
+    """Conversion by ``kind`` of a value that ``accept`` then admits."""
+    def convert(value):
+        converted = kind(value)
+        if not accept(converted):
+            raise ValueError(rule)
+        return converted
+    return convert
+
+
+_bool = _one_of({"true": True, "yes": True, "on": True, "1": True,
+                 "false": False, "no": False, "off": False, "0": False})
+
+# section -> key -> the conversion that reads and checks its value
+_SCHEMA = {
+    "grid": {"n": _numbers(int, 3), "extent": _numbers(float, 3)},
+    "gas": dict.fromkeys(("gamma", "r", "mu0", "mu1", "kappa_r"), float),
+    "solver": {"cfl": float, "dt_min": float, "max_rejects": int,
+               "lambda_variant": _one_of({s: v for v in LambdaVariant
+                                          for s in (v.value, v.value.replace("-", "_"))}),
+               "t_end": _checked(float, lambda t: 0.0 < t < float("inf"), "must be positive and finite")},
+    "initial": {"preset": _one_of({name: name for name in PRESETS}),
+                **dict.fromkeys(("rho", "temperature", "floor", "amplitude", "width",
+                                 "rho_amp", "temp_amp", "vel_amp", "omega"), float)},
+    "output": {"directory": str, "cadence": _checked(int, lambda c: c >= 1, "must be >= 1"),
+               "snapshots": _bool, "apriori_report": _bool},
+    "convergence": {"grids": _numbers(int), "mode": _one_of({"mms": "mms", "richardson": "richardson"})},
+}
+
+# (section, key, RunConfig field) of the values a field takes as they are
+_FIELDS = (("grid", "n", "grid_n"), ("grid", "extent", "extent"), ("solver", "t_end", "t_end"),
+           ("output", "directory", "output_dir"), ("output", "cadence", "cadence"),
+           ("output", "snapshots", "snapshots"), ("output", "apriori_report", "apriori_report"),
+           ("convergence", "grids", "convergence_grids"), ("convergence", "mode", "convergence_mode"))
+
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+_HEADER = re.compile(r"\[\s*(.*?)\s*\]")
+_KEY = re.compile(r"(.+?)\s*[=:]\s*(.*)")
+
+
+def _read(text):
+    """``{section: {key: converted value}}`` of what ``text`` sets, and
+    ``{(section, key): line number}`` (key None for a header); raises
+    ConfigError at the first line the grammar or a conversion rejects."""
+    values, lines, section = {}, {}, None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if header := _HEADER.fullmatch(line):
+            section = header[1].lower()
+            if section not in _SCHEMA:
+                raise ConfigError(f"line {lineno}: unknown section [{header[1]}]")
+            if section in values:
+                raise ConfigError(f"line {lineno}: repeated section [{section}]")
+            values[section], lines[section, None] = {}, lineno
+        elif (setting := _KEY.fullmatch(line)) is None:
+            raise ConfigError(f"line {lineno}: expected [section], key = value or a comment (got {line!r})")
+        elif section is None:
+            raise ConfigError(f"line {lineno}: key {setting[1]!r} before the first [section]")
+        else:
+            key, value = setting[1].lower(), setting[2]
+            where = f"line {lineno}: [{section}] {key}"
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"{where}: unknown key")
+            if key in values[section]:
+                raise ConfigError(f"{where}: repeated key")
+            try:
+                values[section][key] = _SCHEMA[section][key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc} (got {value!r})") from None
+            lines[section, key] = lineno
+    return values, lines
+
+
+def _fail(lines, section, key, message):
+    """Raise at ``key``'s line, else (key None or unset) at the section header."""
+    lineno = lines.get((section, key)) or lines.get((section, None))
     where = f"line {lineno}: " if lineno else ""
     raise ConfigError(f"{where}[{section}]{f' {key}' if key else ''}: {message}")
 
@@ -87,9 +153,9 @@ def _named(keys, exc):
     return [k for k in keys if re.search(rf"\b{k}\b", str(exc), re.IGNORECASE)]
 
 
-def _fail_named(text, section, keys, exc):
+def _fail_named(lines, section, keys, exc):
     """Report ``exc`` under the first of ``keys`` its message names, else keys[0]."""
-    _fail(text, section, (_named(keys, exc) or keys)[0], str(exc))
+    _fail(lines, section, (_named(keys, exc) or keys)[0], str(exc))
 
 
 def _initial_culprit(cfg):
@@ -104,123 +170,34 @@ def _initial_culprit(cfg):
     return None
 
 
-def _floats(value, count):
-    parts = value.replace(",", " ").split()
-    if len(parts) == 1:
-        parts = parts * count
-    if len(parts) != count:
-        raise ValueError(f"expected {count} values")
-    return tuple(float(p) for p in parts)
-
-
-def _ints(value, count=None):
-    parts = value.replace(",", " ").split()
-    if count is not None and len(parts) == 1:
-        parts = parts * count
-    if count is not None and len(parts) != count:
-        raise ValueError(f"expected {count} values")
-    return tuple(int(p) for p in parts)
-
-
-def _bool(value):
-    v = value.strip().lower()
-    if v in ("true", "yes", "on", "1"):
-        return True
-    if v in ("false", "no", "off", "0"):
-        return False
-    raise ValueError("expected a boolean")
-
-
 def parse_config(text):
     """Parse and validate a configuration document into a :class:`RunConfig`."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-
-    for section in parser.sections():
-        sec = section.lower()
-        if sec not in _SCHEMA:
-            lineno = _line_of(text, sec)
-            where = f"line {lineno}: " if lineno else ""
-            raise ConfigError(f"{where}unknown section [{section}]")
-        for key in parser.options(section):
-            if key.lower() not in _SCHEMA[sec]:
-                _fail(text, sec, key.lower(), "unknown key")
-
-    cfg = RunConfig()
-
-    def get(section, key, convert, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return convert(raw)
-            except ValueError as exc:
-                _fail(text, section, key, f"{exc} (got {raw!r})")
-        return default
-
-    cfg.grid_n = get("grid", "n", lambda v: _ints(v, 3), cfg.grid_n)
-    cfg.extent = get("grid", "extent", lambda v: _floats(v, 3), cfg.extent)
+    values, lines = _read(text)
+    gas, solver, initial = (values.get(s, {}) for s in ("gas", "solver", "initial"))
+    # only the keys the config sets: the defaults live in the dataclasses
+    cfg = RunConfig(**{name: values[s][k] for s, k, name in _FIELDS if k in values.get(s, {})})
     try:
         grid_shape(cfg.grid_n, cfg.extent)
     except ValueError as exc:
-        _fail_named(text, "grid", ("n", "extent"), exc)
+        _fail_named(lines, "grid", ("n", "extent"), exc)
 
-    # only the keys the config sets: the defaults live in the dataclasses
-    gas_kwargs = {attr: get("gas", key, float, None)
-                  for key, attr in (("gamma", "gamma"), ("r", "R"), ("mu0", "mu0"),
-                                    ("mu1", "mu1"), ("kappa_r", "kappa_r"))
-                  if parser.has_option("gas", key)}
     try:
-        cfg.gas = GasParams(**gas_kwargs)
+        cfg.gas = GasParams(**{"R" if k == "r" else k: v for k, v in gas.items()})
     except ValueError as exc:
-        _fail_named(text, "gas", ("gamma", "r", "mu0", "mu1", "kappa_r"), exc)
+        _fail_named(lines, "gas", tuple(_SCHEMA["gas"]), exc)
 
-    def _variant(value):
-        v = value.strip().lower()
-        if v not in _VARIANTS:
-            raise ValueError(f"expected one of {sorted(set(_VARIANTS))}")
-        return _VARIANTS[v]
-
-    solver_kwargs = {key: get("solver", key, convert, None)
-                     for key, convert in (("cfl", float), ("lambda_variant", _variant),
-                                          ("dt_min", float), ("max_rejects", int))
-                     if parser.has_option("solver", key)}
     try:
-        cfg.solver = SolverParams(**solver_kwargs)
+        cfg.solver = SolverParams(**{k: v for k, v in solver.items() if k != "t_end"})
     except ValueError as exc:
-        _fail_named(text, "solver", ("cfl", "dt_min", "max_rejects"), exc)
-    cfg.t_end = get("solver", "t_end", float, cfg.t_end)
-    if not 0.0 < cfg.t_end < math.inf:
-        _fail(text, "solver", "t_end", "must be positive and finite")
+        _fail_named(lines, "solver", ("cfl", "dt_min", "max_rejects"), exc)
 
-    preset = get("initial", "preset", str, "uniform_rest").strip().lower()
-    if preset not in PRESETS:
-        _fail(text, "initial", "preset", f"expected one of {tuple(PRESETS)}")
-    cfg.initial = {"preset": preset}
-    if parser.has_section("initial"):
-        for key in parser.options("initial"):
-            if key == "preset":
-                continue
-            cfg.initial[key] = get("initial", key, float, None)
+    cfg.initial = {"preset": "uniform_rest", **initial}
     try:
         check_initial(cfg.initial, cfg.grid_n, cfg.extent, cfg.gas)
     except ValueError as exc:
         # a message naming no key: blame the key whose removal admits the block
         named = _named([k for k in cfg.initial if k != "preset"] + ["preset"], exc)
-        _fail(text, "initial", named[0] if named else _initial_culprit(cfg), str(exc))
-
-    cfg.output_dir = get("output", "directory", str, cfg.output_dir)
-    cfg.cadence = get("output", "cadence", int, cfg.cadence)
-    if cfg.cadence < 1:
-        _fail(text, "output", "cadence", "must be >= 1")
-    cfg.snapshots = get("output", "snapshots", _bool, cfg.snapshots)
-    cfg.apriori_report = get("output", "apriori_report", _bool, cfg.apriori_report)
-
-    cfg.convergence_grids = get("convergence", "grids", _ints, cfg.convergence_grids)
-    cfg.convergence_mode = get("convergence", "mode", str, cfg.convergence_mode).strip().lower()
-    if cfg.convergence_mode not in ("mms", "richardson"):
-        _fail(text, "convergence", "mode", "expected 'mms' or 'richardson'")
-
+        # without an [initial] block the default state fails only for the gas
+        section = "initial" if ("initial", None) in lines else "gas"
+        _fail(lines, section, named[0] if named else _initial_culprit(cfg), str(exc))
     return cfg

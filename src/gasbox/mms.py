@@ -26,7 +26,7 @@ import numpy as np
 
 from .thermo import conserved_from_primitives
 
-__all__ = ["MMSWave", "mms_from_initial"]
+__all__ = ["MMSWave", "mms_from_initial", "mms_preset"]
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,15 @@ def mms_from_initial(params):
         return MMSWave(**kwargs)
     except TypeError as exc:
         raise ValueError(f"bad manufactured-wave parameters: {exc}") from None
+
+
+def mms_preset(grid, gas, **params):
+    """The ``mms_wave`` preset at t = 0.  The wave varies along x and is no-slip only
+    at the x walls, so any grid but n = N 0 0 raises ValueError, before sympy runs."""
+    wave = mms_from_initial(params)
+    if grid.active_axes != (0,):
+        raise ValueError(f"preset mms_wave needs the grid n = N 0 0, got active axes {grid.active_axes}")
+    return wave.conserved(grid, 0.0, gas)
 
 
 def _sample(kernel, grid, t, rows, n_rows):

@@ -10,12 +10,15 @@ Little-endian layout:
     f64           gas constant R
     5 arrays      conserved components, C order, float64
 
-Round-trips bitwise; a file with bytes after the payload is rejected.
+Round-trips bitwise; the header and the exact file size are checked before the payload is read.
 """
 
+import os
 import struct
 
 import numpy as np
+
+from .thermo import GasParams
 
 __all__ = ["MAGIC", "VERSION", "write_snapshot", "read_snapshot"]
 
@@ -45,11 +48,15 @@ def read_snapshot(path):
             raise ValueError("not a gasbox snapshot (bad magic)")
         if version != VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if 0 in (nx, ny, nz) or not np.isfinite(t):
+            raise ValueError(f"bad snapshot header: node counts {(nx, ny, nz)}, t = {t}")
+        GasParams(gamma=gamma, R=r_gas)  # raises ValueError for constants a run cannot have
         count = 5 * nx * ny * nz
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
+        size, expected = os.fstat(fh.fileno()).st_size, _HEADER.size + 8 * count
+        if size < expected:
             raise ValueError("truncated snapshot payload")
-        if fh.read(1):
+        if size > expected:
             raise ValueError("trailing bytes after the snapshot payload")
+        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
     u5 = data.reshape(5, nx, ny, nz).astype(float)
     return u5, {"t": t, "gamma": gamma, "R": r_gas, "shape": (nx, ny, nz), "version": version}

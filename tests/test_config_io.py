@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasbox.cli import main
-from gasbox.config import ConfigError, parse_config
+from gasbox.config import _SCHEMA, ConfigError, RunConfig, parse_config
 from gasbox.driver import simulate
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
@@ -28,6 +28,52 @@ n = 8 8 8
 [solver]
 t_end = 0.01
 """
+
+
+_HOSTILE_VALUES = st.one_of(
+    st.floats().map(repr), st.integers(-10**30, 10**30).map(str),
+    st.lists(st.sampled_from(["0", "2", "8", "1e308", "nan", "-inf", "x"]), min_size=1, max_size=4)
+    .flatmap(lambda parts: st.sampled_from([" ".join(parts), ", ".join(parts)])),
+    st.sampled_from(["", "%", "%(x)s", "out%x", "ünïcødé", "名前", "TRUE", "Second_Order", "RICHARDSON"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=6),
+)
+# a value its key accepts, more often than not, so that whole documents parse
+_PLAUSIBLE = {"n": ["4 0 0", "8 8 0", "4", "4, 4, 0"], "extent": ["1", "2 1 1"],
+              "gamma": ["1.4", "1.3"], "lambda_variant": ["first-order", "second_order"],
+              "t_end": ["0.1"], "max_rejects": ["3"], "cadence": ["1", "10"], "dt_min": ["1e-9"],
+              "directory": ["out"], "snapshots": ["yes", "Off"], "apriori_report": ["true", "0"],
+              "grids": ["16 32", "8,16,32"], "mode": ["mms", "Richardson"],
+              "preset": [p.upper() for p in PRESETS if p != "mms_wave"] + ["vortex"]}
+
+
+# an mms_wave document fixes the wave and the gas: each distinct pair compiles
+# sympy for about a second, and this pair is the ``gas`` fixture's, which other
+# tests compile anyway
+_MMS_HEAD = ["[gas]", "mu0 = 0.01", "mu1 = 1e-4", "kappa_r = 1e-6", "[initial]", "preset = mms_wave"]
+
+
+@st.composite
+def _fuzz_document(draw, mms):
+    """Sections of the table with some of their keys, and now and then a hostile line."""
+    sections = [s for s in _SCHEMA if not (mms and s in ("gas", "initial"))]
+    case = st.sampled_from([str.lower, str.upper, str.title])
+    pad = st.sampled_from(["", " ", "\t"])
+    hostile = st.one_of(
+        st.sampled_from(["", "# comment", "; comment", "   # indented", "%(x)s", "[grid", "n", "= 3", "  4 4",
+                         "spacing = 1", "cfl = 0.5", "preset = vortex", "[DEFAULT]", "[grud]", "[grid]"]),
+        st.builds(lambda name, case: f"[{case(name)}]", st.sampled_from(sections), case))
+    lines = list(_MMS_HEAD) if mms else []
+    # repeated sections and keys come from the hostile lines
+    for section in draw(st.lists(st.sampled_from(sections), max_size=4, unique=True)):
+        lines.append(f"{draw(pad)}[{draw(case)(section)}]{draw(pad)}")
+        for key in draw(st.lists(st.sampled_from(list(_SCHEMA[section])), max_size=4, unique=True)):
+            plausible = st.sampled_from(_PLAUSIBLE.get(key, ["0.5", "1", "0.01"]))
+            value = draw(st.integers(0, 3).flatmap(lambda i: _HOSTILE_VALUES if i == 0 else plausible))
+            lines.append(draw(pad) + draw(case)(key) + draw(st.sampled_from([" = ", "=", ": ", " : "]))
+                         + value + draw(st.sampled_from(["", "", " # note", " ; note", "#glued"])))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(hostile))
+    return "\n".join(lines)
 
 
 class TestParseConfig:
@@ -116,11 +162,49 @@ mode = richardson
         with pytest.raises(ConfigError, match=re.escape(f"preset: expected one of {tuple(PRESETS)}")):
             parse_config("[initial]\npreset = vortex\n")
         for preset in PRESETS:
-            assert parse_config(f"[initial]\npreset = {preset}\n").initial["preset"] == preset
+            # the manufactured wave needs a grid varying along x only
+            grid = "[grid]\nn = 8 0 0\n" if preset == "mms_wave" else ""
+            assert parse_config(f"{grid}[initial]\npreset = {preset}\n").initial["preset"] == preset
 
     def test_output_seed_is_an_unknown_key(self):
         with pytest.raises(ConfigError, match=r"line 4: \[output\] seed: unknown key"):
             parse_config("[output]\ndirectory = out\n\nseed = 42\n")
+
+    def test_section_names_are_case_insensitive(self):
+        cfg = parse_config("[GRID]\nn = 4 0 0\n[Solver]\nt_end = 0.3\n")
+        assert cfg.grid_n == (4, 0, 0) and cfg.t_end == 0.3
+
+    def test_grammar(self):
+        cfg = parse_config("# comment\n; comment\n[grid]\n  # indented comment\n"
+                           "N: 4 0 0 ; inline\nextent = 2, 1, 1 # inline\n[output]\ndirectory = a%(b)s#c\n")
+        assert (cfg.grid_n, cfg.extent, cfg.output_dir) == ((4, 0, 0), (2.0, 1.0, 1.0), "a%(b)s#c")
+        for text, where in [
+            ("[grid]\nn = 4 0 0\n[grid]\n", r"line 3: repeated section \[grid\]"),
+            ("[grid]\nn = 4 0 0\nN = 8 0 0\n", r"line 3: \[grid\] n: repeated key"),
+            ("n = 4 0 0\n[grid]\n", r"line 1: key 'n' before the first \[section\]"),
+            ("[grid]\nn = 4 0 0\n  8\n", r"line 3: expected \[section\]"),  # a continuation line
+            ("[grid]\n[DEFAULT]\ncadence = 3\n", r"line 2: unknown section \[DEFAULT\]"),
+            ("[output]\ncadence = 0\n", r"line 2: \[output\] cadence: must be >= 1 \(got '0'\)"),
+            ("[convergence]\nmode = fast\n", r"line 2: \[convergence\] mode: expected one of .*\(got 'fast'\)"),
+            ("[solver]\nlambda_variant = third\n", r"line 2: \[solver\] lambda_variant: .*\(got 'third'\)"),
+            # the default [initial] state is inadmissible for this gas alone
+            ("[gas]\nr = 1e-310\n", r"line 1: \[gas\]: nonpositive"),
+        ]:
+            with pytest.raises(ConfigError, match=where):
+                parse_config(text)
+
+    @pytest.mark.filterwarnings("ignore:mu1 exceeds mu0:UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.booleans().flatmap(_fuzz_document))
+    def test_fuzzed_document_parses_or_cites_a_line(self, text):
+        # parse only, never run: a drawn grid may ask for arrays of any size
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            cited = re.match(r"line (\d+): ", str(exc))
+            assert cited and 1 <= int(cited[1]) <= text.count("\n") + 1, (str(exc), text)
+        else:
+            assert isinstance(cfg, RunConfig)
 
 
 class TestInitialConditions:
@@ -174,6 +258,14 @@ class TestInitialConditions:
         from gasbox.driver import mms_from_initial as driver_mms_from_initial
         assert driver_mms_from_initial is mms_from_initial
 
+    def test_mms_preset_needs_n_N_0_0_and_checks_before_compiling(self, gas):
+        from gasbox.mms import _compiled_state
+        before = _compiled_state.cache_info()
+        for shape in [(0, 8, 0), (8, 8, 0), (8, 4, 4)]:
+            with pytest.raises(ValueError, match="n = N 0 0"):
+                initial_condition("mms_wave", build_grid(shape), gas, omega=3.0)
+        assert _compiled_state.cache_info() == before
+
     def test_rejects_unknown_preset_and_params(self, gas):
         g = build_grid((4, 4, 4))
         with pytest.raises(ValueError, match="unknown initial preset"):
@@ -210,6 +302,44 @@ class TestSnapshot:
         path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_snapshot(path)
+
+    def test_header_checked_before_the_payload_is_read(self, tmp_path, gas):
+        from gasbox.snapshot import _HEADER, MAGIC, VERSION
+        path = tmp_path / "field.snap"
+        for counts, t, gamma, where in [
+            ((0xFFFFFFFF,) * 3, 0.0, 1.4, "truncated snapshot payload"),
+            ((0, 3, 3), 0.0, 1.4, "bad snapshot header"),
+            ((1, 1, 1), float("nan"), 1.4, "bad snapshot header"),
+            ((1, 1, 1), 0.0, 3.0, "gamma"),
+        ]:
+            path.write_bytes(_HEADER.pack(MAGIC, VERSION, *counts, t, gamma, gas.R) + bytes(40))
+            with pytest.raises(ValueError, match=where):
+                read_snapshot(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(change=st.one_of(st.tuples(st.just("cut"), st.integers(0, 167)),
+                            st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+                            st.tuples(st.just("flip"), st.integers(0, 8 * 168 - 1))))
+    def test_fuzzed_snapshot_reads_or_raises_valueerror(self, tmp_path_factory, change):
+        g = build_grid((2, 0, 0))
+        u5 = np.arange(5.0 * 3).reshape((5,) + g.shape)
+        path = tmp_path_factory.getbasetemp() / "fuzzed.snap"
+        write_snapshot(path, u5, g, 0.25, GasParams())
+        blob = path.read_bytes()
+        assert len(blob) == 168 and np.array_equal(read_snapshot(path)[0], u5)
+        kind, arg = change
+        if kind == "cut":
+            blob = blob[:arg]
+        elif kind == "extend":
+            blob += arg
+        else:
+            blob = bytearray(blob)
+            blob[arg // 8] ^= 1 << (arg % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            read_snapshot(path)
+        except ValueError:
+            pass
 
     def test_truncated_payload_rejected(self, tmp_path, gas):
         g = build_grid((4, 0, 0))
@@ -398,6 +528,37 @@ mode = mms
             code = main(["run", str(cfg)])
         assert (code == 0 or (code == 1 and "physics abort" in err.getvalue())
                 or (code == 2 and re.search(r"line \d+", err.getvalue()))), (code, err.getvalue())
+
+    def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
+        # values are literal: no interpolation
+        out = tmp_path / "out%x"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[grid]\nn = 4 0 0\n[solver]\nt_end = 1e-3\n[output]\ndirectory = {out}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert (out / "diagnostics.csv").exists() and (out / "final.snap").exists()
+
+    def test_default_section_exits_2_at_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[grid]\nn = 4 0 0\n[DEFAULT]\ncadence = 3\n[output]\ndirectory = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: line 3: unknown section [DEFAULT]\n"
+
+    @pytest.mark.parametrize("n", ["0 32 0", "16 16 0"])
+    def test_mms_wave_on_a_2d_grid_exits_2(self, tmp_path, capsys, n):
+        # the wave varies along x and is no-slip only at the x walls
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[grid]\nn = {n}\n[initial]\npreset = mms_wave\n[output]\ndirectory = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.search(r"line 4: \[initial\] preset: .*n = N 0 0", err)
+
+    def test_huge_width_runs_without_a_warning(self, tmp_path, capsys):
+        # the width's square overflows to inf, the intended flat bump
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 4 0 0\n[solver]\nt_end = 1e-3\n[initial]\n"
+                       f"preset = gaussian_density_pulse\nwidth = 1e200\n[output]\ndirectory = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_step_limit_below_dt_min_aborts(self, tmp_path, capsys):
         # stable_dt is 3.9e-13 here: without the guard the run crawls through ~2,300 steps
