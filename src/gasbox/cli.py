@@ -53,7 +53,9 @@ def _summary(records):
     for prev, cur in zip(records, records[1:]):
         slack = 1e-9 * max(1.0, abs(prev.total_entropy))
         worst_rise = max(worst_rise, cur.total_entropy - prev.total_entropy - slack)
-    monotone = "yes" if worst_rise <= 0.0 else "no"
+    # max() drops a NaN rise, so a run whose monitors overflowed is caught here
+    finite = np.all(np.isfinite([mass_drift, energy_drift] + [r.total_entropy for r in records]))
+    monotone = "yes" if worst_rise <= 0.0 and finite else "no"
     return mass_drift, energy_drift, monotone
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import re
 
 from .fluxes import LambdaVariant
-from .grid import grid_shape
+from .grid import grid_sequence, grid_shape
 from .initial import PRESETS, check_initial
 from .thermo import GasParams
 from .timestep import SolverParams
@@ -92,7 +92,8 @@ _SCHEMA = {
                                  "rho_amp", "temp_amp", "vel_amp", "omega"), float)},
     "output": {"directory": str, "cadence": _checked(int, lambda c: c >= 1, "must be >= 1"),
                "snapshots": _bool, "apriori_report": _bool},
-    "convergence": {"grids": _numbers(int), "mode": _one_of({"mms": "mms", "richardson": "richardson"})},
+    "convergence": {"grids": lambda value: grid_sequence(_numbers(int)(value)),
+                    "mode": _one_of({"mms": "mms", "richardson": "richardson"})},
 }
 
 # (section, key, RunConfig field) of the values a field takes as they are

@@ -33,8 +33,7 @@ from .fluxes import (
     frak_p,
     physical_coeff,
 )
-from .grid import _slab, discrete_norm, gradient_norm_l2
-from .means import arith_mean
+from .grid import _slab, discrete_norm, gradient_norm_l2, grid_sequence
 from .rhs import assemble_rhs, face_blocks
 from .thermo import delta_w, entropy_function, entropy_variables, primitives_from_conserved
 
@@ -43,7 +42,6 @@ __all__ = [
     "CSV_HEADER",
     "totals",
     "write_csv",
-    "entropy_dissipation",
     "shuffle_gap_and_scale",
     "balance_residuals",
     "ke_balance_residual",
@@ -109,7 +107,7 @@ def totals(u5, grid, gas, t=0.0, dt=float("nan"), prim=None):
     for face, index in face_blocks(prim, grid):
         ax = face.axis
         dissipation += _face_dissipation(face, index, grid, gas)
-        g = sum(((r - l) / grid.spacing[ax]) ** 2 for l, r in zip(face.left.vel, face.right.vel))
+        g = face.vel_jump_sq / grid.spacing[ax] ** 2
         rho_bar_grad_vel_sq += float(np.sum(_slab(vol[index], ax, None, -1) * face.rho.bar ** 2 * g))
 
     return DiagnosticsRecord(
@@ -153,18 +151,15 @@ def _dissipation_bracket(face, h_axis, gas):
 
     Every term is nonnegative for admissible states.
     """
-    left, right = face.left, face.right
     d_rho = face.rho.jump
     bracket = d_rho * (d_rho / h_axis) / face.rho.ln
     rho_bar = face.rho.bar
-    vel_part = sum((ur - ul) * ((ur - ul) / h_axis) for ul, ur in zip(left.vel, right.vel))
-    bracket = bracket + 2.0 * face.beta.bar * rho_bar * vel_part
+    bracket = bracket + 2.0 * face.beta.bar * rho_bar * (face.vel_jump_sq / h_axis)
     d_beta = face.beta.jump
-    d_inv_beta = (right.inv_beta - left.inv_beta) / h_axis
-    bracket = bracket - (rho_bar / (gas.gamma - 1.0)) * d_beta * d_inv_beta
+    bracket = bracket - (rho_bar / (gas.gamma - 1.0)) * d_beta * (face.inv_beta_jump / h_axis)
     radiation = 0.0
     if gas.kappa_r != 0.0:
-        radiation = -2.0 * gas.kappa_r * d_beta * (right.T4 - left.T4) / h_axis
+        radiation = -2.0 * gas.kappa_r * d_beta * face.T4_jump / h_axis
     return bracket, radiation
 
 
@@ -180,17 +175,6 @@ def _face_dissipation(face, index, grid, gas):
     return _area_sum(physical_coeff(face, gas) * bracket + radiation, face, index, grid)
 
 
-def entropy_dissipation(u5, grid, gas, prim=None):
-    """Total physical entropy dissipation sum_faces S * (B nu + R), >= 0.
-
-    This is the contraction of the entropy-variable jumps with the
-    physical (non-vanishing) diffusive fluxes, radiation included.
-    """
-    if prim is None:
-        prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    return sum(_face_dissipation(face, index, grid, gas) for face, index in face_blocks(prim, grid))
-
-
 def shuffle_gap_and_scale(face, variant, gas):
     """Entropy-compatibility gap of the faces of a face bundle,
 
@@ -202,7 +186,7 @@ def shuffle_gap_and_scale(face, variant, gas):
     lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
     flux = convective_flux(face, gas) - lam * _gradient_vector(face, 1.0, gas)
     contraction = np.sum(delta_w(face, gas) * flux, axis=0)
-    d_psi = face.right.momenta[face.axis] - face.left.momenta[face.axis]
+    d_psi = face.momentum_jump[face.axis]
     scale = np.maximum(1.0, np.maximum(np.abs(d_psi), np.abs(contraction)))
     return d_psi - contraction, scale
 
@@ -284,23 +268,19 @@ def balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
     def on_block(face, index, total, coeffs):
         nonlocal dissipation, slack
         ax = face.axis
-        left, right = face.left, face.right
         h = grid.spacing[ax]
         area = np.expand_dims(grid.face_area(ax)[index[-1]], ax)
 
         ke_flux = sum((face.vel_bar[c] * total[c + 1] for c in range(3)),
-                      -0.5 * arith_mean(left.speed_sq, right.speed_sq) * total[0])
-        d_un = right.vel[ax] - left.vel[ax]
-        jump_sq = sum((ur - ul) ** 2 for ul, ur in zip(left.vel, right.vel))
+                      -face.ke_bar * total[0])
         terms = (_node_difference(ke_flux, area, ax),
-                 _two_face_node_sum(face.p_face * d_un, area, ax),
-                 _two_face_node_sum(coeffs.tilde_nu * face.rho.bar * jump_sq / h, area, ax))
+                 _two_face_node_sum(face.p_face * face.vel_jump[ax], area, ax),
+                 _two_face_node_sum(coeffs.tilde_nu * face.rho.bar * face.vel_jump_sq / h, area, ax))
         for acc, term in zip((ke_div, pdv, dis), terms):
             acc[index] += term
             np.maximum(scale[index], np.abs(term), out=scale[index])
 
-        rho_un_mean = arith_mean(left.momenta[ax], right.momenta[ax])
-        ie_conv = rho_un_mean * _internal_energy_factor(face, gas)
+        ie_conv = face.normal_momentum_bar * _internal_energy_factor(face, gas)
         ie_conv_div[index] += _node_difference(ie_conv, area, ax)
 
         ie_diff = coeffs.tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)
@@ -371,20 +351,14 @@ def _restrict(fine, factor, active_axes):
 def convergence_study(ns, solve, exact=None):
     """Error table over a nested grid sequence.
 
-    ``ns`` must double from entry to entry.  ``solve(n)`` returns
-    (grid, conserved field) at the common final time.  With ``exact``
+    ``ns`` must pass :func:`~gasbox.grid.grid_sequence`.  ``solve(n)``
+    returns (grid, conserved field) at the common final time.  With ``exact``
     (a callable grid -> conserved field) errors are measured against it;
     without, successive solutions are compared on the coarse nodes
     (Richardson mode), so the last row has no error of its own.
     Observed order is log2 of the error ratio between a row and the next.
     """
-    ns = [int(n) for n in ns]
-    if len(ns) < 2:
-        raise ValueError("need at least two grids")
-    for a, b in zip(ns, ns[1:]):
-        if b != 2 * a:
-            raise ValueError(f"grid sequence must refine by exactly 2 (got {a} -> {b})")
-
+    ns = grid_sequence(ns)
     solutions = [solve(n) for n in ns]
     errors = []
     if exact is not None:
@@ -425,13 +399,13 @@ def format_convergence_table(rows):
 def apriori_norm_report(history, grid, gas, records=None):
     """Time series and time integrals of the monitored norms.
 
-    ``history`` is a list of (t, conserved field) pairs.  ``records``, the
-    :class:`DiagnosticsRecord` of each of those instants (a run's records
-    when it kept its history), supplies the entropy dissipation and the
-    norms of grad log rho and grad T^{3/2} instead of a second walk over
-    the faces; the values are the same.  Values are reported, never
-    asserted: the estimates they mirror come with unquantified constants.
-    Time integrals use the trapezoid rule on the sampled instants.
+    ``history`` is a list of (t, conserved field) pairs.  The entropy
+    dissipation and the norms of grad log rho and grad T^{3/2} are read
+    from the :class:`DiagnosticsRecord` of each instant: from ``records``
+    (a run's records when it kept its history), else from :func:`totals`
+    of the state.  Values are reported, never asserted: the estimates they
+    mirror come with unquantified constants.  Time integrals use the
+    trapezoid rule on the sampled instants.
     """
     if not history:
         raise ValueError("empty history")
@@ -439,7 +413,7 @@ def apriori_norm_report(history, grid, gas, records=None):
     if records is not None and [r.t for r in records] != [float(t) for t in times]:
         raise ValueError("records and history are not taken at the same instants")
     sups, integrands = [], []
-    for k, (_, u5) in enumerate(history):
+    for k, (t, u5) in enumerate(history):
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
         vol = grid.cell_volumes
         sups.append({
@@ -450,21 +424,14 @@ def apriori_norm_report(history, grid, gas, records=None):
             "L1 of sqrt(T)": float(np.sum(vol * np.sqrt(prim.T))),
             "L2^2 of sqrt(rho) v": float(np.sum(vol * prim.rho * prim.speed_sq)),
         })
-        if records is None:
-            grad_log_rho = gradient_norm_l2(prim.log_rho, grid)
-            grad_temp32 = gradient_norm_l2(prim.T ** 1.5, grid)
-            dissipation = entropy_dissipation(u5, grid, gas, prim=prim)
-        else:
-            rec = records[k]
-            grad_log_rho, grad_temp32 = rec.norm_grad_log_rho, rec.norm_grad_temp32
-            dissipation = rec.entropy_dissipation
+        rec = totals(u5, grid, gas, t, prim=prim) if records is None else records[k]
         integrands.append({
             "grad rho (L2^2)": gradient_norm_l2(prim.rho, grid) ** 2,
-            "grad log rho (L2^2)": grad_log_rho ** 2,
+            "grad log rho (L2^2)": rec.norm_grad_log_rho ** 2,
             "grad rho^{5/2} (L2^2)": gradient_norm_l2(prim.rho ** 2.5, grid) ** 2,
             "grad 1/rho (L2^2)": gradient_norm_l2(1.0 / prim.rho, grid) ** 2,
-            "grad T^{3/2} (L2^2)": grad_temp32 ** 2,
-            "entropy dissipation": dissipation,
+            "grad T^{3/2} (L2^2)": rec.norm_grad_temp32 ** 2,
+            "entropy dissipation": rec.entropy_dissipation,
         })
 
     sup = {key: max(s[key] for s in sups) for key in sups[0]}

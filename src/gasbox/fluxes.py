@@ -99,7 +99,7 @@ def lambda_alt_coeffs(face, variant, gas):
     """
     ax = face.axis
     lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
-    lam_a = lam - 0.25 * (face.right.vel[ax] - face.left.vel[ax])
+    lam_a = lam - 0.25 * face.vel_jump[ax]
     # (mean - geomean)/jump == (sqrt(b) - sqrt(a)) / (2 (sqrt(b) + sqrt(a)));
     # the term is subtracted: splitting mean(rho) into geomean + difference
     # moves the difference into the coefficient with a minus sign, and the
@@ -133,7 +133,7 @@ def diffusion_coeffs(face, h_axis, variant, gas):
     nu = physical_coeff(face, gas)
     ax = face.axis
     lam = np.abs(face.vel_bar[ax]) * density_jump_sensor(face.rho, variant)
-    lam += 0.25 * np.abs(face.right.vel[ax] - face.left.vel[ax])
+    lam += 0.25 * np.abs(face.vel_jump[ax])
     return DiffusionCoeffs(
         nu_face=np.asarray(nu, dtype=float),
         lambda_face=np.asarray(lam, dtype=float),
@@ -157,15 +157,13 @@ def convective_flux(face, gas):
     Reduces to the exact analytic flux when both states agree.
     """
     ax = face.axis
-    left, right = face.left, face.right
     vel_bar = face.vel_bar
     out = np.empty((5,) + np.shape(face.p_face))
-    rho_un_mean = np.add(left.momenta[ax], right.momenta[ax], out=out[0])
-    rho_un_mean *= 0.5
+    out[0] = rho_un_mean = face.normal_momentum_bar
     for row, vb in zip(out[1:4], vel_bar):
         np.multiply(vb, rho_un_mean, out=row)
     out[ax + 1] += face.p_face
-    bracket = (_internal_energy_factor(face, gas) - 0.25 * (left.speed_sq + right.speed_sq)
+    bracket = (_internal_energy_factor(face, gas) - face.ke_bar
                + (vel_bar[0] * vel_bar[0] + vel_bar[1] * vel_bar[1] + vel_bar[2] * vel_bar[2]))
     np.multiply(bracket, rho_un_mean, out=out[4])
     out[4] += face.p_face * vel_bar[ax]
@@ -178,26 +176,26 @@ def frak_p(face, h_axis):
     (1 / (2 logmean(beta))) D+ rho + (mean(rho)/2) D+ (1/beta); direction
     enters only through the axis of the face bundle.
     """
-    d_inv_beta = (face.right.inv_beta - face.left.inv_beta) / h_axis
-    return 0.5 * ((face.rho.jump / h_axis) * face.inv_log_mean_beta + d_inv_beta * face.rho.bar)
+    return 0.5 * ((face.rho.jump / h_axis) * face.inv_log_mean_beta
+                  + (face.inv_beta_jump / h_axis) * face.rho.bar)
 
 
 def _gradient_vector(face, h_axis, gas):
     """Gradient stencil of the conserved variables; multiplying it by a
     diffusion coefficient yields the diffusive flux (radiation excluded)."""
-    left, right = face.left, face.right
     out = np.empty((5,) + np.shape(face.rho.jump))
     d_rho = np.divide(face.rho.jump, h_axis, out=out[0])
-    for row, ml, mr in zip(out[1:4], left.momenta, right.momenta):
-        np.divide(mr - ml, h_axis, out=row)
+    for row, d_m in zip(out[1:4], face.momentum_jump):
+        np.divide(d_m, h_axis, out=row)
     energy = np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=out[4])
-    energy += 0.5 * ((right.rho_speed_sq - left.rho_speed_sq) / h_axis)
-    energy -= 0.25 * sum((ur - ul) ** 2 for ul, ur in zip(left.vel, right.vel)) * d_rho
+    # the jump of rho |v|^2 has this one reader, so it is formed here
+    energy += 0.5 * ((face.right.rho_speed_sq - face.left.rho_speed_sq) / h_axis)
+    energy -= 0.25 * face.vel_jump_sq * d_rho
     return out
 
 
 def _radiation_row(face, h_axis, gas):
-    return gas.kappa_r * (face.right.T4 - face.left.T4) / h_axis
+    return gas.kappa_r * face.T4_jump / h_axis
 
 
 def split_diffusive_flux(face, coeffs, h_axis, gas):

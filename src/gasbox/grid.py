@@ -26,6 +26,7 @@ __all__ = [
     "Grid",
     "build_grid",
     "grid_shape",
+    "grid_sequence",
     "diff_plus",
     "sbp_residual",
     "discrete_norm",
@@ -128,7 +129,24 @@ def grid_shape(n_per_axis, extent=(1.0, 1.0, 1.0)):
     for e in extent:
         if not 0.0 < e < np.inf:
             raise ValueError(f"box extent must be positive and finite, got {e}")
+    # a wall cell is half as wide as an interior one: the face areas and
+    # volumes of build_grid lie between the products of these widths
+    for wx, wy, wz in ([e / n / k if n else e for n, e in zip(n_per_axis, extent)] for k in (1.0, 2.0)):
+        if not all(0.0 < a < np.inf for a in (wy * wz, wx * wz, wx * wy, wx * wy * wz)):
+            raise ValueError(f"box extent {extent} makes a cell volume or face area zero or infinite")
     return n_per_axis, extent
+
+
+def grid_sequence(ns):
+    """Interval counts of a grid-refinement study as a tuple, checked: at
+    least two, each >= 2 and each double the one before."""
+    ns = tuple(int(n) for n in ns)
+    if len(ns) < 2 or ns[0] < 2:
+        raise ValueError(f"need at least two grids of >= 2 intervals, got {ns}")
+    for a, b in zip(ns, ns[1:]):
+        if b != 2 * a:
+            raise ValueError(f"grid sequence must refine by exactly 2 (got {a} -> {b})")
+    return ns
 
 
 def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):

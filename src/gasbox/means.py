@@ -7,6 +7,7 @@ arguments to avoid the 0/0 cancellation in (b - a) / (log b - log a).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +66,7 @@ def log_mean(a, b):
     # rounded logs negates exactly under argument swap.
     out = _log_mean(a + b, b - a, np.log(b) - np.log(a))
     out = np.where(a == b, a, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,11 @@ class PairMeans:
     jump: np.ndarray      # b - a
     log_jump: np.ndarray  # log b - log a
     bar: np.ndarray       # arithmetic mean
-    ln: np.ndarray        # logarithmic mean
+
+    @cached_property
+    def ln(self):
+        """Logarithmic mean, computed on first read (2 bar is exactly a + b)."""
+        return _log_mean(2.0 * self.bar, self.jump, self.log_jump)
 
 
 def pair_means(a, b, log_a, log_b):
@@ -89,11 +92,7 @@ def pair_means(a, b, log_a, log_b):
     than once per pair.  The log mean equals :func:`log_mean` of the
     same pair.
     """
-    total = a + b
-    jump = b - a
-    log_jump = log_b - log_a
-    return PairMeans(jump=jump, log_jump=log_jump, bar=0.5 * total,
-                     ln=_log_mean(total, jump, log_jump))
+    return PairMeans(jump=b - a, log_jump=log_b - log_a, bar=0.5 * (a + b))
 
 
 def geo_mean(a, b):
@@ -103,9 +102,7 @@ def geo_mean(a, b):
     if np.any(a < 0.0) or np.any(b < 0.0):
         raise ValueError("geo_mean requires nonnegative arguments")
     out = np.sqrt(a * b)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def split_average_residual(a_pair, b_pair):
@@ -123,6 +120,4 @@ def split_average_residual(a_pair, b_pair):
     lhs = 0.5 * (a_l * b_l + a_r * b_r)
     rhs = arith_mean(a_l, a_r) * arith_mean(b_l, b_r) + 0.25 * (a_r - a_l) * (b_r - b_l)
     out = np.abs(lhs - rhs)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out

@@ -137,6 +137,8 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, 
         _slab(block, c, 1, -1)[...] -= np.multiply(diff, _slab(inv_w, ax, 1, -1), out=diff)
         _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) * _slab(inv_w, ax, 0, 1)
         _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) * _slab(inv_w, ax, -1, None)
+        # free this block's face bundle before the next one is built
+        del face, flux, coeffs
     if source is not None:
         tend += source(grid, t)
     _zero_wall_momenta(tend, grid)

@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .means import PairMeans, arith_mean, pair_means
+from .means import PairMeans, pair_means
 
 __all__ = [
     "GasParams",
@@ -196,12 +196,12 @@ def primitives(rho, vel, p, gas):
 
 @dataclass(frozen=True)
 class FaceState:
-    """The face bundle of one set of faces normal to ``axis``.
+    """The face bundle of one set of faces normal to ``axis``: the only
+    place a jump or a mean of the two sides of a face is formed.
 
-    Holds the primitive states on both sides and the face means every
-    flux, diffusion coefficient and diagnostic reads, each computed once:
-    arithmetic and log means of rho and beta (with their jumps), the
-    velocity means and the face pressure mean(rho) / (2 mean(beta)).
+    The fields hold what every face walk reads; the cached properties,
+    like the log means of :class:`~gasbox.means.PairMeans`, hold what only
+    some walks read and are computed on first read.
     """
 
     axis: int
@@ -210,23 +210,41 @@ class FaceState:
     rho: PairMeans
     beta: PairMeans
     vel_bar: tuple
-    p_face: np.ndarray
+    vel_jump: tuple
+    vel_jump_sq: np.ndarray  # |jump v|^2
+    inv_beta_jump: np.ndarray
+    T4_jump: np.ndarray  # None when kappa_r == 0
+    p_face: np.ndarray  # mean(rho) / (2 mean(beta))
 
     @cached_property
-    def inv_log_mean_beta(self):
-        """1 / logmean(beta), which the convective energy row, the pressure
-        diffusion and the entropy-variable jump multiply by; computed on
-        first read, so the walks that never read it do not pay for it."""
+    def inv_log_mean_beta(self):  # 1 / logmean(beta)
         return 1.0 / self.beta.ln
+
+    @cached_property
+    def ke_bar(self):  # mean(|v|^2 / 2), the specific kinetic energy
+        return 0.25 * (self.left.speed_sq + self.right.speed_sq)
+
+    @cached_property
+    def normal_momentum_bar(self):  # mean(rho u_n), the convective mass flux
+        return 0.5 * (self.left.momenta[self.axis] + self.right.momenta[self.axis])
+
+    @cached_property
+    def momentum_jump(self):
+        return tuple(r - l for l, r in zip(self.left.momenta, self.right.momenta))
 
 
 def face_means(axis, left, right):
     """Build the :class:`FaceState` of faces with ``left``/``right`` states."""
     rho = pair_means(left.rho, right.rho, left.log_rho, right.log_rho)
     beta = pair_means(left.beta, right.beta, left.log_beta, right.log_beta)
+    vel_jump = tuple(r - l for l, r in zip(left.vel, right.vel))
     return FaceState(
         axis=axis, left=left, right=right, rho=rho, beta=beta,
-        vel_bar=tuple(arith_mean(l, r) for l, r in zip(left.vel, right.vel)),
+        vel_bar=tuple(0.5 * (l + r) for l, r in zip(left.vel, right.vel)),
+        vel_jump=vel_jump,
+        vel_jump_sq=vel_jump[0] * vel_jump[0] + vel_jump[1] * vel_jump[1] + vel_jump[2] * vel_jump[2],
+        inv_beta_jump=right.inv_beta - left.inv_beta,
+        T4_jump=None if left.T4 is None else right.T4 - left.T4,
         p_face=rho.bar / (2.0 * beta.bar),
     )
 
@@ -267,16 +285,12 @@ def delta_w(face, gas):
     this mean form is the one whose contraction with the fluxes telescopes
     in the entropy estimate.
     """
-    gm1 = gas.gamma - 1.0
-    left, right = face.left, face.right
-    d_rho = face.rho.jump
     d_beta = face.beta.jump
     beta_bar = face.beta.bar
-
-    speed_sq_bar = arith_mean(left.speed_sq, right.speed_sq)
-    w1 = d_rho / face.rho.ln + (face.inv_log_mean_beta / gm1 - speed_sq_bar) * d_beta
+    w1 = (face.rho.jump / face.rho.ln
+          + (face.inv_log_mean_beta / (gas.gamma - 1.0) - 2.0 * face.ke_bar) * d_beta)
     momentum_rows = []
-    for ul, ur, u_bar in zip(left.vel, right.vel, face.vel_bar):
-        w1 = w1 - 2.0 * u_bar * beta_bar * (ur - ul)
-        momentum_rows.append(2.0 * beta_bar * (ur - ul) + 2.0 * u_bar * d_beta)
+    for d_u, u_bar in zip(face.vel_jump, face.vel_bar):
+        w1 = w1 - 2.0 * u_bar * beta_bar * d_u
+        momentum_rows.append(2.0 * beta_bar * d_u + 2.0 * u_bar * d_beta)
     return np.stack([w1, *momentum_rows, -2.0 * d_beta])

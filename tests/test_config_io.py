@@ -449,6 +449,22 @@ mode = mms
         assert all(g.active_axes == (0, 1) for g in grids)
         assert "L2 error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grids", ["4", "4 6", "0 0", "-2 -4"])
+    def test_converge_bad_grids_exit_2_at_their_line(self, tmp_path, capsys, grids):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(f"[grid]\nn = 4 0 0\n[convergence]\ngrids = {grids}\nmode = richardson\n")
+        assert main(["converge", str(cfg)]) == 2
+        assert re.search(r"line 4: \[convergence\] grids:", capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_monitors_are_not_monotone(self, tmp_path, capsys):
+        # rho = 1e307 gives an infinite entropy; max(0.0, nan) would read it as monotone
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[grid]\nn = 4 4 0\n[solver]\nt_end = 1e-3\n[initial]\n"
+                       f"preset = uniform_rest\nrho = 1e307\n[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert "entropy_monotone=no" in capsys.readouterr().out
+
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast", "--seed", "1"]) == 0
         assert "verification passed" in capsys.readouterr().out
@@ -470,6 +486,7 @@ mode = mms
         ("n = 4 4 4", "n = 1 1 1", r"line 2: \[grid\] n:"),
         ("n = 4 4 4", "n = -3 4 4", r"line 2: \[grid\] n:"),
         ("n = 4 4 4", "n = 4 4 4\nextent = inf 1 1", r"line 3: \[grid\] extent:"),
+        ("n = 4 4 4", "n = 4 4 0\nextent = 1e200", r"line 3: \[grid\] extent:"),
         ("mu0 = 0.01", "mu0 = nan", r"line 7: \[gas\] mu0:"),
         ("mu0 = 0.01", "mu0 = 0.01\nkappa_r = inf", r"line 8: \[gas\] kappa_r:"),
         ("mu0 = 0.01", "mu0 = 0.01\nr = inf", r"line 8: \[gas\] r:"),
@@ -492,8 +509,8 @@ mode = mms
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\nfloor = -1\n"
          "amplitude = -1", r"line 8: \[initial\]: "),
     ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
-            "extent-inf", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative", "mms-floor",
-            "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf",
+            "extent-inf", "extent-overflow", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative",
+            "mms-floor", "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf",
             "amplitude-after-floor", "floor-and-amplitude"])
     def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
         text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import gasbox.means
 import gasbox.rhs
 from gasbox.diagnostics import (
     CSV_HEADER,
@@ -12,7 +13,6 @@ from gasbox.diagnostics import (
     balance_residuals,
     convergence_study,
     entropy_balance_residual,
-    entropy_dissipation,
     format_apriori_report,
     format_convergence_table,
     ke_balance_residual,
@@ -118,8 +118,24 @@ class TestFaceBlocks:
 
         assert dissipation > 0.0 and grad_vel_sq > 0.0
         assert rec.entropy_dissipation == pytest.approx(dissipation, rel=1e-14)
-        assert entropy_dissipation(u5, g, gas, prim=prim) == rec.entropy_dissipation
         assert rec.norm_rho_grad_vel == pytest.approx(np.sqrt(grad_vel_sq), rel=1e-14)
+
+    def test_log_means_computed_on_first_read(self, rng, gas, monkeypatch):
+        # totals reads the log mean of rho only, the tendency those of rho and beta
+        g = build_grid((12, 10, 8))
+        u5 = random_admissible_field(rng, g, gas)
+        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 200)
+        prim = primitives_from_conserved(u5, gas)
+        blocks = sum(1 for _ in face_blocks(prim, g))
+        assert blocks > 3 * len(g.active_axes)
+        calls = []
+        log_mean = gasbox.means._log_mean
+        monkeypatch.setattr(gasbox.means, "_log_mean", lambda *args: calls.append(1) or log_mean(*args))
+        totals(u5, g, gas, prim=prim)
+        assert len(calls) == blocks
+        calls.clear()
+        assemble_rhs(u5, g, gas, prim=prim)
+        assert len(calls) == 2 * blocks
 
     @pytest.mark.parametrize("n", [(7, 6, 5), (6, 9, 0), (12, 0, 0)])
     def test_blocked_monitors_match_one_block(self, rng, gas, monkeypatch, n):
@@ -241,7 +257,7 @@ class TestShuffleGap:
 class TestEntropyDissipation:
     def test_uniform_field(self, gas):
         g = build_grid((4, 4, 4))
-        assert entropy_dissipation(rest_state(g, gas), g, gas) == 0.0
+        assert totals(rest_state(g, gas), g, gas).entropy_dissipation == 0.0
 
     def test_radiative_term_from_temperature_jump(self):
         gas = GasParams(gamma=1.4, R=1.0, kappa_r=0.5)
@@ -249,7 +265,7 @@ class TestEntropyDissipation:
         rho = np.ones(g.shape)
         temp = np.array([1.0, 1.5, 2.0]).reshape(3, 1, 1)
         u5 = conserved_from_primitives(rho, (0 * rho, 0 * rho, 0 * rho), rho * temp, gas)
-        assert entropy_dissipation(u5, g, gas) > 0.0
+        assert totals(u5, g, gas).entropy_dissipation > 0.0
 
     def test_per_face_terms_nonnegative(self, rng, gas):
         left = random_states(rng, 10**5, gas)
