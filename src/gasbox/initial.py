@@ -8,6 +8,7 @@ momenta are zeroed afterwards, and the field is checked to be admissible
 
 import numpy as np
 
+from .diagnostics import CSV_HEADER, totals
 from .grid import build_grid
 from .mms import mms_preset
 from .rhs import apply_boundary_state
@@ -104,7 +105,8 @@ def initial_condition(preset, grid, gas, **params):
 
 def check_initial(initial, grid_n, extent, gas):
     """Raise ValueError unless the preset of an ``[initial]`` block takes
-    each of its keys and its own checks accept their values.
+    each of its keys, its own checks accept their values and the monitors
+    of a diagnostics record of its state are finite.
 
     The preset is built on the box with three nodes per active axis of
     ``grid_n``: the centre, the walls and the corners, where the product
@@ -112,7 +114,12 @@ def check_initial(initial, grid_n, extent, gas):
     passes here yields an admissible field on every grid of that box.
     """
     params = {k: v for k, v in initial.items() if k != "preset"}
-    # the admissibility check reports a rejected block; numpy's warnings would only repeat it
+    # the checks report a rejected block; numpy's warnings would only repeat them
     with np.errstate(all="ignore"):
         probe = build_grid(tuple(2 if n else 0 for n in grid_n), extent)
-        initial_condition(initial["preset"], probe, gas, **params)
+        record = totals(initial_condition(initial["preset"], probe, gas, **params), probe, gas)
+    # the first two columns, t and dt, are the record's, not the state's
+    bad = [name for name, value in zip(CSV_HEADER.split(",")[2:], record.row()[2:])
+           if not np.isfinite(value)]
+    if bad:
+        raise ValueError(f"the monitors of the initial state overflow: {', '.join(bad)} not finite")

@@ -7,7 +7,6 @@ arguments to avoid the 0/0 cancellation in (b - a) / (log b - log a).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +68,21 @@ def log_mean(a, b):
     return float(out) if out.ndim == 0 else out
 
 
+class _lazy:
+    """Attribute computed on first read and stored in the instance
+    ``__dict__``, which later reads find first (a non-data descriptor).
+    Unlike ``functools.cached_property`` before Python 3.12, it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class PairMeans:
     """Means of positive pairs (a, b) together with the jumps they come from."""
@@ -77,7 +91,7 @@ class PairMeans:
     log_jump: np.ndarray  # log b - log a
     bar: np.ndarray       # arithmetic mean
 
-    @cached_property
+    @_lazy
     def ln(self):
         """Logarithmic mean, computed on first read (2 bar is exactly a + b)."""
         return _log_mean(2.0 * self.bar, self.jump, self.log_jump)

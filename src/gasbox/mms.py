@@ -52,7 +52,13 @@ class MMSWave:
         return conserved_from_primitives(rho, (u, zero, zero), rho * gas.R * temp, gas)
 
     def source(self, gas):
-        """Forcing callable ``(grid, t) -> (5,) + grid.shape`` for the tendency."""
+        """Forcing callable ``forcing(grid, t)`` for the tendency.
+
+        A scalar ``t`` gives the array ``(5,) + grid.shape``.  A vector of
+        k times gives ``(k, 5) + grid.shape``, one row per time, from one
+        kernel call: the x-only factors are computed once for all k, and
+        each row is bitwise equal to the call at its time alone.
+        """
         kernel = _compiled_source(self, gas)
 
         def forcing(grid, t):
@@ -84,11 +90,14 @@ def mms_preset(grid, gas, **params):
 
 
 def _sample(kernel, grid, t, rows, n_rows):
+    # the times along a leading axis of their own, a scalar too, so a row is
+    # computed the same way in a batch as alone
+    times = np.asarray(t, dtype=float)
+    out = np.zeros((times.size, n_rows) + grid.shape)
     # row by row: a residual that is identically zero comes back as a scalar
-    out = np.zeros((n_rows,) + grid.shape)
-    for row, val in zip(rows, kernel(grid.nodes[0][:, None, None], t)):
-        out[row] = val
-    return out
+    for row, val in zip(rows, kernel(grid.nodes[0][:, None, None], times.reshape(-1, 1, 1, 1))):
+        out[:, row] = val
+    return out.reshape(times.shape + (n_rows,) + grid.shape)
 
 
 @lru_cache(maxsize=None)

@@ -58,14 +58,13 @@ def apply_boundary_state(u5, grid):
 
 def _side(prim, axis, lo, hi):
     """Slab view ``lo:hi`` along ``axis`` of every per-node field."""
-    index = (slice(None),) * axis + (slice(lo, hi),)
-
-    def cut(a):
-        if isinstance(a, tuple):
-            return tuple(c[index] for c in a)
-        return None if a is None else a[index]
-
-    return PrimitiveFields(*map(cut, vars(prim).values()))
+    ix = (slice(None),) * axis + (slice(lo, hi),)
+    return PrimitiveFields(
+        rho=prim.rho[ix], vel=tuple(c[ix] for c in prim.vel), p=prim.p[ix], T=prim.T[ix],
+        beta=prim.beta[ix], log_rho=prim.log_rho[ix], log_beta=prim.log_beta[ix],
+        inv_beta=prim.inv_beta[ix], speed_sq=prim.speed_sq[ix],
+        momenta=tuple(c[ix] for c in prim.momenta), rho_speed_sq=prim.rho_speed_sq[ix],
+        T4=None if prim.T4 is None else prim.T4[ix])
 
 
 def face_states(prim, axis):
@@ -108,17 +107,17 @@ def face_blocks(prim, grid):
             yield face_states(block, ax), (slice(None),) * b + (slice(lo, lo + step),)
 
 
-def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, t=0.0,
-                 prim=None, on_block=None):
+def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None, prim=None,
+                 on_block=None):
     """Tendency du/dt of the full scheme on an admissible field.
 
     Raises :class:`~gasbox.thermo.PositivityError` if the state is not
     admissible (checked by the primitive conversion unless ``prim`` hands
-    in the primitives of ``u5``).  ``source(grid, t)``, if given, is added
-    before the wall momentum rows are frozen.  ``on_block(face, index,
-    flux, coeffs)``, if given, is called for each block of
-    :func:`face_blocks` with the results of :func:`face_fluxes`, which it
-    must not write.
+    in the primitives of ``u5``).  ``forcing``, an evaluated source array
+    of ``u5``'s shape, is added before the wall momentum rows are frozen.
+    ``on_block(face, index, flux, coeffs)``, if given, is called for each
+    block of :func:`face_blocks` with the results of :func:`face_fluxes`,
+    which it must not write.
     """
     u5 = np.asarray(u5, dtype=float)
     if prim is None:
@@ -139,7 +138,13 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, source=None, 
         _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) * _slab(inv_w, ax, -1, None)
         # free this block's face bundle before the next one is built
         del face, flux, coeffs
-    if source is not None:
-        tend += source(grid, t)
+    return _add_forcing(tend, forcing, grid)
+
+
+def _add_forcing(tend, forcing, grid):
+    """Add ``forcing`` (None for none) to the tendency ``tend`` in place,
+    then freeze its wall momentum rows; returns ``tend``."""
+    if forcing is not None:
+        tend += forcing
     _zero_wall_momenta(tend, grid)
     return tend

@@ -22,12 +22,11 @@ form is the one for which w . du/dt = dU/dt holds identically.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 import warnings
 
 import numpy as np
 
-from .means import PairMeans, pair_means
+from .means import PairMeans, _lazy, pair_means
 
 __all__ = [
     "GasParams",
@@ -125,8 +124,9 @@ def _first_bad_index(mask):
 
 def _require_admissible(quantity, values):
     """Raise :class:`PositivityError` unless every value is positive and finite."""
-    # NaN fails both comparisons, so one min and one max cover every case
-    if not (np.min(values) > 0.0 and np.max(values) < np.inf):
+    # NaN fails both comparisons, so one min and one max cover every case;
+    # the methods skip np.min's dispatch, half the cost on small arrays
+    if not (values.min() > 0.0 and values.max() < np.inf):
         idx = _first_bad_index(~((values > 0.0) & (values < np.inf)))
         raise PositivityError(quantity, idx, float(values[idx]))
 
@@ -199,9 +199,9 @@ class FaceState:
     """The face bundle of one set of faces normal to ``axis``: the only
     place a jump or a mean of the two sides of a face is formed.
 
-    The fields hold what every face walk reads; the cached properties,
-    like the log means of :class:`~gasbox.means.PairMeans`, hold what only
-    some walks read and are computed on first read.
+    The fields hold what every face walk reads; the lazy attributes, like
+    the log means of :class:`~gasbox.means.PairMeans`, hold what only some
+    walks read and are computed on first read.
     """
 
     axis: int
@@ -216,19 +216,19 @@ class FaceState:
     T4_jump: np.ndarray  # None when kappa_r == 0
     p_face: np.ndarray  # mean(rho) / (2 mean(beta))
 
-    @cached_property
+    @_lazy
     def inv_log_mean_beta(self):  # 1 / logmean(beta)
         return 1.0 / self.beta.ln
 
-    @cached_property
+    @_lazy
     def ke_bar(self):  # mean(|v|^2 / 2), the specific kinetic energy
         return 0.25 * (self.left.speed_sq + self.right.speed_sq)
 
-    @cached_property
+    @_lazy
     def normal_momentum_bar(self):  # mean(rho u_n), the convective mass flux
         return 0.5 * (self.left.momenta[self.axis] + self.right.momenta[self.axis])
 
-    @cached_property
+    @_lazy
     def momentum_jump(self):
         return tuple(r - l for l, r in zip(self.left.momenta, self.right.momenta))
 

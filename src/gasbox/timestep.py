@@ -14,6 +14,12 @@ the controller retries with dt/2 up to a bounded number of times and
 aborts the run if that fails.  k1 does not depend on dt, so the controller
 evaluates it once per step, derives dt from the same primitives and face
 diffusion coefficients, and reuses k1 across rejections.
+
+A source (the manufactured-solution forcing) is evaluated once per step,
+at the three stage times (t, t+dt, t+dt/2) in one call.  The k1 flux walk
+must run before dt is known, so k1's forcing row is added after the step
+limit, from that call.  A rejection evaluates the forcing again at the two
+later stage times of the halved dt; k1's row stays.
 """
 
 from dataclasses import dataclass
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import LambdaVariant, diffusion_coeffs
-from .rhs import assemble_rhs, face_blocks
+from .rhs import _add_forcing, assemble_rhs, face_blocks
 from .thermo import PositivityError, primitives_from_conserved
 
 __all__ = [
@@ -132,44 +138,61 @@ class StepController:
         self.grid = grid
         self.gas = gas
         self.params = params
-        self.source = source
+        self.source = source  # forcing(grid, t), as from MMSWave.source, or None
         self.rejections = 0
 
-    def _rhs(self, u, t, prim=None, on_block=None):
+    def _rhs(self, u, forcing=None, prim=None, on_block=None):
         return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant,
-                            source=self.source, t=t, prim=prim, on_block=on_block)
+                            forcing=forcing, prim=prim, on_block=on_block)
+
+    def _forcing(self, *times):
+        """``{time: forcing row}`` from one source call at ``times``; the
+        rows are None without a source."""
+        if self.source is None:
+            return dict.fromkeys(times)
+        return dict(zip(times, self.source(self.grid, np.array(times))))
 
     def first_stage(self, u, t, prim):
-        """k1 = L(u, t) and :func:`stable_dt` of ``u``, both from the
-        primitives ``prim`` of ``u`` and the same face bundles."""
+        """k1 = L(u, t) without its forcing, and :func:`stable_dt` of ``u``,
+        both from the primitives ``prim`` of ``u`` and the same face bundles."""
         block_max = []
 
         def on_block(face, index, flux, coeffs):
             block_max.append(float(np.max(coeffs.tilde_nu)))
 
-        k1 = self._rhs(u, t, prim=prim, on_block=on_block)
+        k1 = self._rhs(u, prim=prim, on_block=on_block)
         return k1, _step_limit(prim, max(block_max), self.grid, self.gas, self.params)
 
     def attempt_step(self, u, t, dt, k1=None):
         """Advance one step, halving dt on positivity faults.
 
-        ``k1``, the tendency at (u, t) if known, is reused by every retry.
-        Returns (u_new, dt_used, primitives of u_new).  Raises
-        :class:`RunAbort` when the step cannot be completed within the
-        rejection budget, :class:`PositivityError` when ``u`` is not
-        admissible.
+        ``k1``, the tendency at (u, t) without its forcing if known (see
+        :meth:`first_stage`), is not written; k1 with its forcing row is
+        reused by every retry.  Returns (u_new, dt_used, primitives of
+        u_new).  Raises :class:`RunAbort` when the step cannot be completed
+        within the rejection budget, :class:`PositivityError` when ``u`` is
+        not admissible.
         """
         if k1 is None:
-            k1 = self._rhs(u, t)
+            k1 = self._rhs(u)
+        rows = self._forcing(t, t + dt, t + 0.5 * dt)
+        if rows[t] is not None:
+            k1 = _add_forcing(k1.copy(), rows[t], self.grid)
+
+        def stage_rhs(u_stage, t_stage):
+            return self._rhs(u_stage, forcing=rows[t_stage])
+
         for _ in range(self.params.max_rejects + 1):
             try:
-                u_new = ssprk3_step(u, dt, t, self._rhs, k1=k1)
+                u_new = ssprk3_step(u, dt, t, stage_rhs, k1=k1)
                 return u_new, dt, primitives_from_conserved(u_new, self.gas)
             except PositivityError:
                 self.rejections += 1
                 dt *= 0.5
                 if dt < self.params.dt_min:
                     break
+                # k1 keeps its row; the stages read the rows of the halved dt
+                rows = self._forcing(t + dt, t + 0.5 * dt)
         raise RunAbort(f"positivity could not be restored at t = {t:.6g}", t, u)
 
     def advance(self, u, t, t_end, on_step=None):

@@ -229,7 +229,7 @@ def test_criterion_9_temporal_order():
     from gasbox.rhs import assemble_rhs
 
     def rhs(u, t):
-        return assemble_rhs(u, grid, GAS_1D, variant, source=source, t=t)
+        return assemble_rhs(u, grid, GAS_1D, variant, forcing=source(grid, t))
 
     u0 = apply_boundary_state(wave.conserved(grid, 0.0, GAS_1D), grid)
     base_dt = 4.0e-3  # comfortably inside the stability window at N = 64

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasbox.cli import main
+from gasbox.cli import _summary, main
 from gasbox.config import _SCHEMA, ConfigError, RunConfig, parse_config
+from gasbox.diagnostics import totals
 from gasbox.driver import simulate
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
@@ -457,13 +458,15 @@ mode = mms
         assert re.search(r"line 4: \[convergence\] grids:", capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowed_monitors_are_not_monotone(self, tmp_path, capsys):
-        # rho = 1e307 gives an infinite entropy; max(0.0, nan) would read it as monotone
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text(f"[grid]\nn = 4 4 0\n[solver]\nt_end = 1e-3\n[initial]\n"
-                       f"preset = uniform_rest\nrho = 1e307\n[output]\ndirectory = {tmp_path / 'out'}\n")
-        assert main(["run", str(cfg)]) == 0
-        assert "entropy_monotone=no" in capsys.readouterr().out
+    def test_overflowed_monitors_are_not_monotone(self):
+        # rho = 1e307 gives an infinite entropy; max(0.0, nan) would read it as
+        # monotone.  The config gate rejects such a block (rho-huge below), so
+        # the records of the summary are formed here.
+        g, gas = build_grid((4, 4, 0)), GasParams()
+        u5 = initial_condition("uniform_rest", g, gas, rho=1e307)
+        records = [totals(u5, g, gas, t=t) for t in (0.0, 1e-3)]
+        assert not np.isfinite(records[0].total_entropy)
+        assert _summary(records)[2] == "no"
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast", "--seed", "1"]) == 0
@@ -502,6 +505,9 @@ mode = mms
          r"line 10: \[initial\] temperature:"),
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = thermal_spot\nwidth = inf",
          r"line 10: \[initial\] width:"),
+        # admissible, but the entropy and the norms of its records overflow
+        ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = uniform_rest\nrho = 1e307",
+         r"line 10: \[initial\] rho: .*entropy.* not finite"),
         # an inadmissible state names no key: the one whose removal admits the
         # block is at fault, and the header when no single key is
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\nfloor = 1.0\n"
@@ -511,7 +517,7 @@ mode = mms
     ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
             "extent-inf", "extent-overflow", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative",
             "mms-floor", "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf",
-            "amplitude-after-floor", "floor-and-amplitude"])
+            "rho-huge", "amplitude-after-floor", "floor-and-amplitude"])
     def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
         text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"
                 f"[output]\ndirectory = {tmp_path / 'out'}\n")

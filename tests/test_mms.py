@@ -49,6 +49,22 @@ def test_3d_forcing_is_the_1d_forcing_extended():
     assert np.array_equal(f3, np.broadcast_to(f1, f3.shape))
 
 
+@pytest.mark.parametrize("shape", [(64, 0, 0), (8, 4, 4)])
+def test_batched_rows_equal_single_time_calls(shape):
+    # the three stage times of a step, then the two of the halved dt after a
+    # rejection: each row of one batched call is bitwise the call at its time
+    forcing = WAVE.source(GAS)
+    g = build_grid(shape, extent=(WAVE.length, 1.0, 1.0))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        t, dt = rng.uniform(0.0, 0.5), rng.uniform(1e-6, 1e-2)
+        for times in ([t, t + dt, t + 0.5 * dt], [t + 0.5 * dt, t + 0.25 * dt]):
+            rows = forcing(g, np.array(times))
+            assert rows.shape == (len(times), 5) + g.shape
+            for row, tk in zip(rows, times):
+                assert np.array_equal(row, forcing(g, tk))
+
+
 def test_second_source_call_reuses_the_compiled_kernel():
     WAVE.source(GAS)
     before = _compiled_source.cache_info()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gasbox.thermo import (
     GasParams,
     PositivityError,
+    _require_admissible,
     conserved_from_primitives,
     delta_w,
     entropy_function,
@@ -107,6 +109,27 @@ class TestConversion:
         with pytest.raises(PositivityError) as err:
             primitives_from_conserved(u5, gas)
         assert err.value.index == (cell,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.sampled_from([(23,), (3, 4, 5)]).flatmap(lambda shape: hnp.arrays(
+               np.float64, shape, elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))),
+           bad=st.lists(st.tuples(st.integers(0, 59), st.sampled_from(
+               [np.nan, np.inf, -np.inf, 0.0, -0.0, -5e-324, -1e-310, -1.0, -1e308])), max_size=3))
+    def test_gate_rejects_exactly_the_inadmissible_values(self, values, bad):
+        # positive floats, subnormal and huge ones among them, with up to
+        # three bad values at random positions; the first bad one in C
+        # order is reported, as np.argwhere finds it
+        for pos, v in bad:
+            values.flat[pos % values.size] = v
+        offending = np.argwhere(~((values > 0.0) & (values < np.inf)))
+        if len(offending) == 0:
+            _require_admissible("q", values)
+            return
+        with pytest.raises(PositivityError) as err:
+            _require_admissible("q", values)
+        index = tuple(int(i) for i in offending[0])
+        assert err.value.index == index
+        assert np.array_equal(err.value.value, values[index], equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_infinite_temperature_rejected(self, inviscid_gas):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gasbox.diagnostics
 import gasbox.driver
+import gasbox.mms
 import gasbox.rhs
 import gasbox.timestep
 from gasbox.config import parse_config
@@ -197,11 +198,12 @@ def pulse_1d(gas, n=16):
 
 
 def late_fault_source(t_bad, component=4, value=np.inf):
-    """Forcing that puts a non-finite value into one row after ``t_bad``."""
+    """Forcing that puts a non-finite value into one row after ``t_bad``;
+    like ``MMSWave.source``, a vector of times gives one row per time."""
     def source(grid, t):
-        out = np.zeros((5,) + grid.shape)
-        if t > t_bad:
-            out[component] = value
+        times = np.asarray(t, dtype=float)
+        out = np.zeros(times.shape + (5,) + grid.shape)
+        out[times > t_bad, component] = value
         return out
     return source
 
@@ -251,6 +253,7 @@ class TestEvaluationCounts:
                            "[solver]\ncfl = 0.4\nt_end = 0.05\n"
                            "[initial]\npreset = gaussian_density_pulse\n"
                            "[output]\ncadence = 1000\n")
+        counts.update(primitives=0)  # the run's conversions, not the config check's
         result = gasbox.driver.simulate(cfg)
         assert result.steps > 1 and result.rejections == 0
         assert len(result.records) == 2
@@ -282,6 +285,41 @@ class TestEvaluationCounts:
         assert dt_first == dt and dt_used == 0.5 * dt
         assert ctrl.rejections == 1
         assert counts["rhs"] == 3 + 2
+
+
+class TestForcingCalls:
+    @pytest.mark.parametrize("fault_at", [None, 3])
+    def test_one_forcing_call_per_step_and_rejection(self, monkeypatch, fault_at):
+        # one kernel call per step, at its three stage times, and one per
+        # rejection; the fault rejects the first step's stage 3 once
+        kernel_calls = []
+        compiled = gasbox.mms._compiled_source
+
+        def counting_source(ms, gas):
+            kernel = compiled(ms, gas)
+
+            def counted(x, t):
+                kernel_calls.append(t.size)
+                return kernel(x, t)
+            return counted
+
+        rhs_calls = []
+
+        def faulting_rhs(*args, **kwargs):
+            rhs_calls.append(None)
+            if len(rhs_calls) == fault_at:
+                raise PositivityError("density", (0,), -1.0)
+            return assemble_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(gasbox.mms, "_compiled_source", counting_source)
+        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs)
+        cfg = parse_config("[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
+                           "[solver]\ncfl = 0.4\nt_end = 0.1\n[initial]\npreset = mms_wave\n")
+        result = gasbox.driver.simulate(cfg)
+        assert result.steps > 3
+        assert result.rejections == (0 if fault_at is None else 1)
+        assert len(kernel_calls) == result.steps + result.rejections
+        assert kernel_calls == [3] + [2] * result.rejections + [3] * (result.steps - 1)
 
 
 class TestSharedFirstStage:
