@@ -82,6 +82,11 @@ class DiagnosticsRecord:
         """The CSV columns: the fields in order, the momentum spread out."""
         return [x for v in vars(self).values() for x in (v if isinstance(v, tuple) else (v,))]
 
+    def nonfinite(self):
+        """The CSV names of the non-finite monitors (t and dt are not monitors)."""
+        return [name for name, value in zip(CSV_HEADER.split(",")[2:], self.row()[2:])
+                if not np.isfinite(value)]
+
 
 # Column order is frozen; bump the version tag when it changes.
 CSV_VERSION = "gasbox-diagnostics-v1"
@@ -396,24 +401,23 @@ def format_convergence_table(rows):
 # a priori norm report
 
 
-def apriori_norm_report(history, grid, gas, records=None):
+def apriori_norm_report(history, grid, gas, records):
     """Time series and time integrals of the monitored norms.
 
-    ``history`` is a list of (t, conserved field) pairs.  The entropy
-    dissipation and the norms of grad log rho and grad T^{3/2} are read
-    from the :class:`DiagnosticsRecord` of each instant: from ``records``
-    (a run's records when it kept its history), else from :func:`totals`
-    of the state.  Values are reported, never asserted: the estimates they
-    mirror come with unquantified constants.  Time integrals use the
-    trapezoid rule on the sampled instants.
+    ``history`` is a list of (t, conserved field) pairs and ``records`` the
+    :class:`DiagnosticsRecord` of each of its instants, as a run keeps them.
+    The entropy dissipation and the norms of grad log rho and grad T^{3/2}
+    are read from the records.  Values are reported, never asserted: the
+    estimates they mirror come with unquantified constants.  Time integrals
+    use the trapezoid rule on the sampled instants.
     """
     if not history:
         raise ValueError("empty history")
     times = np.array([t for t, _ in history])
-    if records is not None and [r.t for r in records] != [float(t) for t in times]:
+    if [r.t for r in records] != [float(t) for t in times]:
         raise ValueError("records and history are not taken at the same instants")
     sups, integrands = [], []
-    for k, (t, u5) in enumerate(history):
+    for (_, u5), rec in zip(history, records):
         prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
         vol = grid.cell_volumes
         sups.append({
@@ -424,7 +428,6 @@ def apriori_norm_report(history, grid, gas, records=None):
             "L1 of sqrt(T)": float(np.sum(vol * np.sqrt(prim.T))),
             "L2^2 of sqrt(rho) v": float(np.sum(vol * prim.rho * prim.speed_sq)),
         })
-        rec = totals(u5, grid, gas, t, prim=prim) if records is None else records[k]
         integrands.append({
             "grad rho (L2^2)": gradient_norm_l2(prim.rho, grid) ** 2,
             "grad log rho (L2^2)": rec.norm_grad_log_rho ** 2,

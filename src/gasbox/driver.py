@@ -9,7 +9,7 @@ from .diagnostics import totals
 from .grid import build_grid
 from .initial import initial_condition
 from .mms import mms_from_initial
-from .timestep import StepController, end_reached
+from .timestep import RunAbort, StepController, end_reached
 
 __all__ = ["RunResult", "mms_from_initial", "simulate"]
 
@@ -25,14 +25,12 @@ class RunResult:
     rejections: int = 0
 
 
-def simulate(cfg, n_override=None, collect_history=False):
-    """Advance a configured run to t_end.
-
-    ``n_override`` replaces the grid resolution (used by grid sweeps);
-    with ``collect_history`` the conserved field is stored at every
-    diagnostics instant for the a priori norm report.
-    """
-    grid = build_grid(n_override if n_override is not None else cfg.grid_n, cfg.extent)
+def simulate(cfg):
+    """Advance a configured run to t_end; a record with a monitor that is
+    not finite raises :class:`RunAbort`.  With ``cfg.apriori_report`` the
+    history keeps (t, field) of each record: the run's own arrays, not
+    copies, as the step loop never writes a state it has handed out."""
+    grid = build_grid(cfg.grid_n, cfg.extent)
     gas = cfg.gas
     params = {k: v for k, v in cfg.initial.items() if k != "preset"}
     preset = cfg.initial["preset"]
@@ -46,9 +44,12 @@ def simulate(cfg, n_override=None, collect_history=False):
     result = RunResult(grid=grid, state=u, t=0.0, steps=0)
 
     def record(u_now, t_now, dt=float("nan"), prim=None):
-        result.records.append(totals(u_now, grid, gas, t=t_now, dt=dt, prim=prim))
-        if collect_history:
-            result.history.append((t_now, u_now.copy()))
+        rec = totals(u_now, grid, gas, t=t_now, dt=dt, prim=prim)
+        if bad := rec.nonfinite():
+            raise RunAbort(f"monitors not finite at t = {t_now:.6g}: {', '.join(bad)}", t_now, u_now)
+        result.records.append(rec)
+        if cfg.apriori_report:
+            result.history.append((t_now, u_now))
 
     def on_step(u_new, t_new, dt_used, prim):
         # ``prim`` is not kept past the call: the step controller frees its

@@ -8,7 +8,7 @@ momenta are zeroed afterwards, and the field is checked to be admissible
 
 import numpy as np
 
-from .diagnostics import CSV_HEADER, totals
+from .diagnostics import totals
 from .grid import build_grid
 from .mms import mms_preset
 from .rhs import apply_boundary_state
@@ -118,8 +118,5 @@ def check_initial(initial, grid_n, extent, gas):
     with np.errstate(all="ignore"):
         probe = build_grid(tuple(2 if n else 0 for n in grid_n), extent)
         record = totals(initial_condition(initial["preset"], probe, gas, **params), probe, gas)
-    # the first two columns, t and dt, are the record's, not the state's
-    bad = [name for name, value in zip(CSV_HEADER.split(",")[2:], record.row()[2:])
-           if not np.isfinite(value)]
-    if bad:
+    if bad := record.nonfinite():
         raise ValueError(f"the monitors of the initial state overflow: {', '.join(bad)} not finite")

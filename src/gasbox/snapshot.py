@@ -27,11 +27,11 @@ VERSION = 1
 _HEADER = struct.Struct("<8sI3I3d")
 
 
-def write_snapshot(path, u5, grid, t, gas):
+def write_snapshot(path, u5, t, gas):
     u5 = np.ascontiguousarray(u5, dtype="<f8")
-    nx, ny, nz = grid.shape
-    if u5.shape != (5, nx, ny, nz):
-        raise ValueError(f"field shape {u5.shape} does not match grid {grid.shape}")
+    if u5.ndim != 4 or u5.shape[0] != 5:
+        raise ValueError(f"field shape {u5.shape} is not (5, nx, ny, nz)")
+    nx, ny, nz = u5.shape[1:]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, nx, ny, nz, float(t), gas.gamma, gas.R))
         fh.write(u5.tobytes(order="C"))

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import pathlib
 import re
 import warnings
 
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasbox.cli import _summary, main
-from gasbox.config import _SCHEMA, ConfigError, RunConfig, parse_config
-from gasbox.diagnostics import totals
+from gasbox.cli import main
+from gasbox.config import _SCHEMA, ConfigError, RunConfig, _read, parse_config
 from gasbox.driver import simulate
 from gasbox.fluxes import LambdaVariant
 from gasbox.grid import build_grid
@@ -159,6 +159,20 @@ mode = richardson
         assert cfg.convergence_grids == (16, 32, 64)
         assert cfg.convergence_mode == "richardson"
 
+    def test_readme_config_reference_is_complete(self):
+        # the ```ini block of README.md parses, sets every key outside
+        # [initial], and its [initial] comments name every preset and parameter
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL)[1]
+        assert isinstance(parse_config(block), RunConfig)
+        values, _ = _read(block)
+        for section, keys in _SCHEMA.items():
+            if section != "initial":
+                assert sorted(values[section]) == sorted(keys), section
+        initial = block[block.index("[initial]"):block.index("[output]")]
+        named = set(re.findall(r"\w+", initial))
+        assert set(_SCHEMA["initial"]) | set(PRESETS) <= named
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match=re.escape(f"preset: expected one of {tuple(PRESETS)}")):
             parse_config("[initial]\npreset = vortex\n")
@@ -280,7 +294,7 @@ class TestSnapshot:
         g = build_grid((2, 2, 2))
         u5 = np.arange(5.0 * 27).reshape((5,) + g.shape)
         path = tmp_path / "field.snap"
-        write_snapshot(path, u5, g, 0.5, gas)
+        write_snapshot(path, u5, 0.5, gas)
         assert np.array_equal(read_snapshot(path)[0], u5)  # a v1 file still reads back
         with open(path, "ab") as fh:
             fh.write(b"junk")
@@ -291,7 +305,7 @@ class TestSnapshot:
         g = build_grid((5, 6, 7), (1.0, 2.0, 0.5))
         u5 = rng.normal(size=(5,) + g.shape)
         path = tmp_path / "field.snap"
-        write_snapshot(path, u5, g, 0.375, gas)
+        write_snapshot(path, u5, 0.375, gas)
         back, meta = read_snapshot(path)
         assert np.array_equal(back, u5)
         assert meta["t"] == 0.375
@@ -325,7 +339,7 @@ class TestSnapshot:
         g = build_grid((2, 0, 0))
         u5 = np.arange(5.0 * 3).reshape((5,) + g.shape)
         path = tmp_path_factory.getbasetemp() / "fuzzed.snap"
-        write_snapshot(path, u5, g, 0.25, GasParams())
+        write_snapshot(path, u5, 0.25, GasParams())
         blob = path.read_bytes()
         assert len(blob) == 168 and np.array_equal(read_snapshot(path)[0], u5)
         kind, arg = change
@@ -346,7 +360,7 @@ class TestSnapshot:
         g = build_grid((4, 0, 0))
         u5 = np.ones((5,) + g.shape)
         path = tmp_path / "field.snap"
-        write_snapshot(path, u5, g, 0.0, gas)
+        write_snapshot(path, u5, 0.0, gas)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
@@ -430,24 +444,25 @@ mode = mms
         assert "L2 error" in out and "observed" in out
 
     def test_converge_keeps_collapsed_axes(self, tmp_path, monkeypatch, capsys):
-        # a 2D study must refine the two active axes only, not run on n^3 grids
+        # a 2D study must refine the two active axes only, not run on n^3
+        # grids, and keeps no history although the config asks for a report
         import gasbox.cli as cli_mod
 
-        grids = []
+        results = []
 
         def spy_simulate(cfg, **kwargs):
-            result = simulate(cfg, **kwargs)
-            grids.append(result.grid)
-            return result
+            results.append(simulate(cfg, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(cli_mod, "simulate", spy_simulate)
         cfg = tmp_path / "conv2d.cfg"
         cfg.write_text("[grid]\nn = 4 4 0\n[gas]\nmu0 = 0.01\n[solver]\ncfl = 0.4\n"
                        "t_end = 0.002\n[initial]\npreset = gaussian_density_pulse\n"
+                       "[output]\napriori_report = true\n"
                        "[convergence]\ngrids = 4 8\nmode = richardson\n")
         assert main(["converge", str(cfg)]) == 0
-        assert [g.shape for g in grids] == [(5, 5, 1), (9, 9, 1)]
-        assert all(g.active_axes == (0, 1) for g in grids)
+        assert [r.grid.shape for r in results] == [(5, 5, 1), (9, 9, 1)]
+        assert all(r.grid.active_axes == (0, 1) and r.history == [] for r in results)
         assert "L2 error" in capsys.readouterr().out
 
     @pytest.mark.parametrize("grids", ["4", "4 6", "0 0", "-2 -4"])
@@ -458,15 +473,40 @@ mode = mms
         assert re.search(r"line 4: \[convergence\] grids:", capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowed_monitors_are_not_monotone(self):
-        # rho = 1e307 gives an infinite entropy; max(0.0, nan) would read it as
-        # monotone.  The config gate rejects such a block (rho-huge below), so
-        # the records of the summary are formed here.
-        g, gas = build_grid((4, 4, 0)), GasParams()
-        u5 = initial_condition("uniform_rest", g, gas, rho=1e307)
-        records = [totals(u5, g, gas, t=t) for t in (0.0, 1e-3)]
-        assert not np.isfinite(records[0].total_entropy)
-        assert _summary(records)[2] == "no"
+    def test_nonfinite_monitor_is_a_physics_abort(self, tmp_path, capsys):
+        # the 3-node probe of the config gate passes this block, but the
+        # temperature gradient norm of the 65-node grid overflows
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 64 0 0\n[solver]\nt_end = 1e-300\n[initial]\n"
+                       "preset = thermal_spot\ntemperature = 1.0\namplitude = 3e102\n"
+                       f"[output]\ndirectory = {out}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "physics abort: monitors not finite at t = 0: l2_grad_temp32\n"
+        _, meta = read_snapshot(out / "abort_last_good.snap")
+        assert meta["t"] == 0.0
+        assert not (out / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("argv, old, new, code, err", [
+        (["run"], "t_end = 0.01", "t_end = 0.01\nseed = 1", 2, r"config error: line 5: .* unknown key"),
+        (["converge"], "t_end = 0.01", "t_end = 0.01\nseed = 1", 2, r"config error: line 5: .* unknown key"),
+        (["run"], "t_end = 0.01", "t_end = 0.01\ndt_min = 1.0", 1, "physics abort: step limit"),
+        (["converge"], "t_end = 0.01", "t_end = 0.01\ndt_min = 1.0", 1, "physics abort: step limit"),
+        (["run"], "{out}", "{file}", 2, "config error: cannot create output directory"),
+        (["run"], "{out}", "{file}/sub", 2, "config error: cannot create output directory"),
+        (["verify", "--fast", "--seed", "1"], "", "", 0, ""),
+    ], ids=["run-unknown-key", "converge-unknown-key", "run-abort", "converge-abort",
+            "run-directory-is-a-file", "run-directory-under-a-file", "verify"])
+    def test_exit_code_matrix(self, tmp_path, capsys, argv, old, new, code, err):
+        # in process, so a traceback fails the test instead of exiting 1
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 8 0 0\n[solver]\nt_end = 0.01\n[output]\ndirectory = {out}\n"
+                       "[convergence]\ngrids = 8 16\nmode = richardson\n".replace(old, new)
+                       .format(out=tmp_path / "out", file=tmp_path / "file"))
+        assert main(argv + [str(cfg)] * (argv[0] != "verify")) == code
+        printed = capsys.readouterr().err
+        assert re.match(err, printed) and printed.count("\n") == (code != 0)
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast", "--seed", "1"]) == 0

@@ -372,7 +372,8 @@ class TestAprioriReport:
     def test_constant_history(self, gas):
         g = build_grid((4, 4, 4))
         u5 = rest_state(g, gas)
-        report = apriori_norm_report([(0.0, u5), (1.0, u5)], g, gas)
+        history = [(0.0, u5), (1.0, u5)]
+        report = apriori_norm_report(history, g, gas, [totals(u, g, gas, t) for t, u in history])
         for key, value in report["time_integrals"].items():
             assert value == 0.0, key
         assert report["sup"]["mass (L1 of rho)"] == pytest.approx(1.0, rel=1e-14)
@@ -387,7 +388,7 @@ class TestAprioriReport:
         history = [(0.0, u.copy())]
         u, t = ctrl.advance(u, 0.0, 0.02,
                             on_step=lambda u_, t_, dt_, prim_: history.append((t_, u_.copy())))
-        report = apriori_norm_report(history, g, gas)
+        report = apriori_norm_report(history, g, gas, [totals(u_, g, gas, t_) for t_, u_ in history])
         masses = [float(np.sum(g.cell_volumes * f[0])) for _, f in history]
         assert max(masses) - min(masses) <= 1e-12 * masses[0]
         assert report["time_integrals"]["grad log rho (L2^2)"] > 0.0
@@ -401,15 +402,38 @@ class TestAprioriReport:
         text = (pathlib.Path(__file__).resolve().parent.parent / "demo.cfg").read_text()
         text = text.replace("t_end = 0.5", "t_end = 0.04").replace("cadence = 10", "cadence = 1")
         cfg = parse_config(text)
+        cfg.apriori_report = True
         assert cfg.grid_n == (16, 16, 16) and cfg.cadence == 1
-        result = simulate(cfg, collect_history=True)
+        result = simulate(cfg)
         assert result.steps > 1 and len(result.records) == len(result.history)
-        walked = apriori_norm_report(result.history, result.grid, cfg.gas)
-        read = apriori_norm_report(result.history, result.grid, cfg.gas, records=result.records)
-        assert read == walked
+        walked = [totals(u, result.grid, cfg.gas, t) for t, u in result.history]
+        read = apriori_norm_report(result.history, result.grid, cfg.gas, result.records)
+        assert read == apriori_norm_report(result.history, result.grid, cfg.gas, walked)
         assert read["time_integrals"]["entropy dissipation"] > 0.0
         with pytest.raises(ValueError, match="same instants"):
-            apriori_norm_report(result.history[1:], result.grid, cfg.gas, records=result.records)
+            apriori_norm_report(result.history[1:], result.grid, cfg.gas, result.records)
+
+    def test_history_holds_the_runs_own_arrays_unwritten(self, monkeypatch):
+        # the history keeps the arrays the step loop handed out, not copies;
+        # each one's bytes at the end equal those it had when recorded
+        import hashlib
+
+        import gasbox.driver
+        from gasbox.config import parse_config
+
+        recorded = []
+
+        def fingerprinting_totals(u5, *args, **kwargs):
+            recorded.append(hashlib.sha256(u5.tobytes()).hexdigest())
+            return totals(u5, *args, **kwargs)
+
+        monkeypatch.setattr(gasbox.driver, "totals", fingerprinting_totals)
+        cfg = parse_config("[grid]\nn = 8 8 0\n[gas]\nmu0 = 0.02\n[solver]\nt_end = 0.3\n"
+                           "[initial]\npreset = gaussian_density_pulse\n"
+                           "[output]\ncadence = 2\napriori_report = true\n")
+        result = gasbox.driver.simulate(cfg)
+        assert result.steps > 2 and result.history[-1][1] is result.state
+        assert [hashlib.sha256(u.tobytes()).hexdigest() for _, u in result.history] == recorded
 
     def test_dissipation_integral_monotone_in_horizon(self, gas):
         # the time integral of the log-density gradient norm grows with the
@@ -423,7 +447,8 @@ class TestAprioriReport:
         history = [(0.0, u.copy())]
         u, _ = ctrl.advance(u, 0.0, 0.03,
                             on_step=lambda u_, t_, dt_, prim_: history.append((t_, u_.copy())))
-        integrals = [apriori_norm_report(history[:k], g, gas)
+        records = [totals(u_, g, gas, t_) for t_, u_ in history]
+        integrals = [apriori_norm_report(history[:k], g, gas, records[:k])
                      ["time_integrals"]["grad log rho (L2^2)"]
                      for k in range(2, len(history) + 1)]
         assert all(np.isfinite(v) for v in integrals)
