@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .thermo import _sum_sq
+
 __all__ = [
     "LambdaVariant",
     "DiffusionCoeffs",
@@ -160,11 +162,9 @@ def convective_flux(face, gas):
     vel_bar = face.vel_bar
     out = np.empty((5,) + np.shape(face.p_face))
     out[0] = rho_un_mean = face.normal_momentum_bar
-    for row, vb in zip(out[1:4], vel_bar):
-        np.multiply(vb, rho_un_mean, out=row)
+    np.multiply(vel_bar, rho_un_mean, out=out[1:4])
     out[ax + 1] += face.p_face
-    bracket = (_internal_energy_factor(face, gas) - face.ke_bar
-               + (vel_bar[0] * vel_bar[0] + vel_bar[1] * vel_bar[1] + vel_bar[2] * vel_bar[2]))
+    bracket = _internal_energy_factor(face, gas) - face.ke_bar + _sum_sq(vel_bar)
     np.multiply(bracket, rho_un_mean, out=out[4])
     out[4] += face.p_face * vel_bar[ax]
     return out
@@ -185,8 +185,7 @@ def _gradient_vector(face, h_axis, gas):
     diffusion coefficient yields the diffusive flux (radiation excluded)."""
     out = np.empty((5,) + np.shape(face.rho.jump))
     d_rho = np.divide(face.rho.jump, h_axis, out=out[0])
-    for row, d_m in zip(out[1:4], face.momentum_jump):
-        np.divide(d_m, h_axis, out=row)
+    np.divide(face.momentum_jump, h_axis, out=out[1:4])
     energy = np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=out[4])
     # the jump of rho |v|^2 has this one reader, so it is formed here
     energy += 0.5 * ((face.right.rho_speed_sq - face.left.rho_speed_sq) / h_axis)

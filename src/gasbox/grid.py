@@ -61,7 +61,7 @@ class Grid:
     face_area_z: np.ndarray
     active_axes: tuple = field(default=())
 
-    @property
+    @cached_property
     def shape(self):
         return tuple(w.size for w in self.widths)
 
@@ -211,19 +211,21 @@ def sbp_residual(a, b_face, grid, axis):
             = -a_0 b_{-1/2} + a_N b_{N+1/2} - sum_{i<N} (a_{i+1} - a_i) b_{i+1/2}
 
     holds per grid line; returns |lhs - rhs| with both sides summed over
-    the whole field.
+    the whole field.  A leading sample axis (``a`` of shape ``(k,) +
+    grid.shape``) gives k residuals, each that of its sample alone.
     """
     a = np.asarray(a, dtype=float)
     b_face = np.asarray(b_face, dtype=float)
-    lhs = np.sum(a * (_slab(b_face, axis, 1, None) - _slab(b_face, axis, None, -1)))
-    first = np.take(a, 0, axis=axis)
-    last = np.take(a, -1, axis=axis)
-    b_lo = np.take(b_face, 0, axis=axis)
-    b_hi = np.take(b_face, -1, axis=axis)
-    interior = _slab(b_face, axis, 1, -1)
-    da = _slab(a, axis, 1, None) - _slab(a, axis, None, -1)
-    rhs = np.sum(last * b_hi) - np.sum(first * b_lo) - np.sum(da * interior)
-    return abs(float(lhs - rhs))
+    ax = axis + a.ndim - 3  # after a leading sample axis, if any
+    nodes, planes = tuple(range(a.ndim - 3, a.ndim)), tuple(range(a.ndim - 3, a.ndim - 1))
+    lhs = np.sum(a * (_slab(b_face, ax, 1, None) - _slab(b_face, ax, None, -1)), axis=nodes)
+    first, last = np.take(a, 0, axis=ax), np.take(a, -1, axis=ax)
+    b_lo, b_hi = np.take(b_face, 0, axis=ax), np.take(b_face, -1, axis=ax)
+    da = _slab(a, ax, 1, None) - _slab(a, ax, None, -1)
+    rhs = (np.sum(last * b_hi, axis=planes) - np.sum(first * b_lo, axis=planes)
+           - np.sum(da * _slab(b_face, ax, 1, -1), axis=nodes))
+    out = np.abs(lhs - rhs)
+    return float(out) if out.ndim == 0 else out
 
 
 def discrete_norm(a, grid, p=2):

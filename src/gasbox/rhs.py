@@ -22,12 +22,10 @@ pressure everywhere, zero momentum on wall nodes.
 import numpy as np
 
 from .fluxes import LambdaVariant, _gradient_vector, _radiation_row, convective_flux, diffusion_coeffs
-from .grid import _slab
 from .thermo import PrimitiveFields, face_means, primitives_from_conserved
 
 __all__ = [
     "apply_boundary_state",
-    "face_states",
     "face_blocks",
     "face_fluxes",
     "assemble_rhs",
@@ -41,12 +39,40 @@ __all__ = [
 _BLOCK_FACES = 1 << 15
 
 
+def _walk_plan(grid):
+    """The face walk on ``grid``, planned on its first walk and kept on the
+    grid like ``Grid.inv_widths`` (again if ``_BLOCK_FACES`` changes):
+    ``(_BLOCK_FACES, blocks, wall planes)``.  Per block: its axis, the cuts
+    of its faces' two sides and of its nodes (each for node and stacked
+    arrays), and the cuts and slabs the scatter of :func:`assemble_rhs` reads."""
+    plan = grid.__dict__.get("_walk_plan")
+    if plan is not None and plan[0] == _BLOCK_FACES:
+        return plan
+    shape, blocks, walls = grid.shape, [], []
+    for ax in grid.active_axes:
+        along = (slice(None),) * (ax + 1)  # cuts along ax of a stacked array
+        ends = [along + (cut,) for cut in (slice(1, -1), slice(0, 1), slice(-1, None))]
+        scatter = (*ends, along + (slice(1, None),), along + (slice(None, -1),),
+                   *(grid.inv_widths[ax][end[1:]] for end in ends))
+        walls += ends[1:]
+        # a block is a run of whole planes along the first axis b other than ax
+        b = 1 if ax == 0 else 0
+        step = max(1, _BLOCK_FACES * shape[b] // grid.cell_volumes.size)
+        for lo in range(0, shape[b], step):
+            index = (slice(None),) * b + (slice(lo, lo + step),)
+            sides = [index[:ax] + (slice(None),) * (ax - len(index)) + (cut,) + index[ax + 1:]
+                     for cut in (slice(None, -1), slice(1, None))]  # index, cut along ax
+            blocks.append((ax, *((ix, (slice(None),) + ix) for ix in (*sides, index)), scatter))
+    plan = grid.__dict__["_walk_plan"] = (_BLOCK_FACES, tuple(blocks), tuple(walls))
+    return plan
+
+
 def _zero_wall_momenta(u5, grid):
     """Zero the momentum rows of the wall nodes in place, through the first and
     last plane along each active axis (~20x faster than ``grid.wall_mask``)."""
-    for ax in grid.active_axes:
-        _slab(u5[1:4], ax + 1, 0, 1)[...] = 0.0
-        _slab(u5[1:4], ax + 1, -1, None)[...] = 0.0
+    momenta = u5[1:4]
+    for plane in _walk_plan(grid)[2]:
+        momenta[plane] = 0.0
 
 
 def apply_boundary_state(u5, grid):
@@ -56,21 +82,14 @@ def apply_boundary_state(u5, grid):
     return out
 
 
-def _side(prim, axis, lo, hi):
-    """Slab view ``lo:hi`` along ``axis`` of every per-node field."""
-    ix = (slice(None),) * axis + (slice(lo, hi),)
+def _side(prim, ix, vix):
+    """Every per-node field of ``prim`` cut by ``ix`` (the stacked ones by ``vix``)."""
     return PrimitiveFields(
-        rho=prim.rho[ix], vel=tuple(c[ix] for c in prim.vel), p=prim.p[ix], T=prim.T[ix],
+        rho=prim.rho[ix], vel=prim.vel[vix], p=prim.p[ix], T=prim.T[ix],
         beta=prim.beta[ix], log_rho=prim.log_rho[ix], log_beta=prim.log_beta[ix],
         inv_beta=prim.inv_beta[ix], speed_sq=prim.speed_sq[ix],
-        momenta=tuple(c[ix] for c in prim.momenta), rho_speed_sq=prim.rho_speed_sq[ix],
+        momenta=prim.momenta[vix], rho_speed_sq=prim.rho_speed_sq[ix],
         T4=None if prim.T4 is None else prim.T4[ix])
-
-
-def face_states(prim, axis):
-    """Face bundle (:class:`~gasbox.thermo.FaceState`) of the interior
-    faces along ``axis``, with left/right views into ``prim``."""
-    return face_means(axis, _side(prim, axis, None, -1), _side(prim, axis, 1, None))
 
 
 def face_fluxes(face, grid, gas, variant):
@@ -99,12 +118,8 @@ def face_blocks(prim, grid):
     axis other than ``face.axis``: it holds whole grid lines along
     ``face.axis``, and ``index[-1]`` picks its rows of ``grid.face_area``.
     """
-    for ax in grid.active_axes:
-        b = 1 if ax == 0 else 0
-        step = max(1, _BLOCK_FACES * grid.shape[b] // prim.rho.size)
-        for lo in range(0, grid.shape[b], step):
-            block = prim if step >= grid.shape[b] else _side(prim, b, lo, lo + step)
-            yield face_states(block, ax), (slice(None),) * b + (slice(lo, lo + step),)
+    for ax, left, right, (index, _), _ in _walk_plan(grid)[1]:
+        yield face_means(ax, _side(prim, *left), _side(prim, *right)), index
 
 
 def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None, prim=None,
@@ -123,21 +138,21 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
     if prim is None:
         prim = primitives_from_conserved(u5, gas)
     tend = np.zeros_like(u5)
-    for face, index in face_blocks(prim, grid):
-        # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width in place on the block's
-        # view, the wall faces carrying no flux
-        ax, c = face.axis, face.axis + 1
+    for ax, left, right, (index, rows), scatter in _walk_plan(grid)[1]:
+        face = face_means(ax, _side(prim, *left), _side(prim, *right))
         flux, coeffs = face_fluxes(face, grid, gas, variant)
         if on_block is not None:
             on_block(face, index, flux, coeffs)
-        block = tend[(slice(None),) + index]
-        inv_w = grid.inv_widths[ax]
-        diff = np.subtract(_slab(flux, c, 1, None), _slab(flux, c, None, -1))
-        _slab(block, c, 1, -1)[...] -= np.multiply(diff, _slab(inv_w, ax, 1, -1), out=diff)
-        _slab(block, c, 0, 1)[...] -= _slab(flux, c, 0, 1) * _slab(inv_w, ax, 0, 1)
-        _slab(block, c, -1, None)[...] += _slab(flux, c, -1, None) * _slab(inv_w, ax, -1, None)
+        # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width in place on the block's
+        # nodes, the wall faces carrying no flux
+        interior, first, last, above, below, w_int, w_first, w_last = scatter
+        block = tend[rows]
+        diff = np.subtract(flux[above], flux[below])
+        block[interior] -= np.multiply(diff, w_int, out=diff)
+        block[first] -= flux[first] * w_first
+        block[last] += flux[last] * w_last
         # free this block's face bundle before the next one is built
-        del face, flux, coeffs
+        del face, flux, coeffs, diff
     return _add_forcing(tend, forcing, grid)
 
 

@@ -105,7 +105,7 @@ class PrimitiveFields:
     """
 
     rho: np.ndarray
-    vel: tuple  # (u, v, w)
+    vel: np.ndarray  # (u, v, w) stacked, shape (3,) + rho.shape
     p: np.ndarray
     T: np.ndarray
     beta: np.ndarray
@@ -113,7 +113,7 @@ class PrimitiveFields:
     log_beta: np.ndarray
     inv_beta: np.ndarray
     speed_sq: np.ndarray
-    momenta: tuple  # (rho u, rho v, rho w)
+    momenta: np.ndarray  # (rho u, rho v, rho w) stacked like vel
     rho_speed_sq: np.ndarray
     T4: np.ndarray  # None when kappa_r == 0
 
@@ -149,15 +149,16 @@ def _fields(rho, vel, speed_sq, p, gas):
         log_beta=np.log(beta),
         inv_beta=1.0 / beta,
         speed_sq=speed_sq,
-        momenta=tuple(rho * c for c in vel),
+        momenta=rho * vel,
         rho_speed_sq=rho * speed_sq,
         T4=T ** 4 if gas.kappa_r != 0.0 else None,
     )
 
 
-def _speed_sq(vel):
-    u, v, w = vel
-    return u * u + v * v + w * w
+def _sum_sq(vec):
+    """|vec|^2 of a stacked (3, ...) vector field, summed in the order x, y, z."""
+    sq = vec * vec
+    return sq[0] + sq[1] + sq[2]
 
 
 def primitives_from_conserved(u5, gas):
@@ -171,8 +172,8 @@ def primitives_from_conserved(u5, gas):
     u5 = np.asarray(u5, dtype=float)
     rho = u5[0]
     _require_admissible("density", rho)
-    vel = tuple(u5[c] / rho for c in (1, 2, 3))
-    speed_sq = _speed_sq(vel)
+    vel = u5[1:4] / rho
+    speed_sq = _sum_sq(vel)
     p = (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq)
     return _fields(rho, vel, speed_sq, p, gas)
 
@@ -188,10 +189,10 @@ def check_admissible(rho, p, gas):
 def primitives(rho, vel, p, gas):
     """Build :class:`PrimitiveFields` directly from rho, velocity and pressure."""
     rho = np.asarray(rho, dtype=float)
-    vel = tuple(np.broadcast_to(np.asarray(c, dtype=float), rho.shape).copy() for c in vel)
+    vel = np.stack([np.broadcast_to(np.asarray(c, dtype=float), rho.shape) for c in vel])
     p = np.asarray(p, dtype=float)
     _require_admissible("density", rho)
-    return _fields(rho, vel, _speed_sq(vel), p, gas)
+    return _fields(rho, vel, _sum_sq(vel), p, gas)
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,8 @@ class FaceState:
     right: PrimitiveFields
     rho: PairMeans
     beta: PairMeans
-    vel_bar: tuple
-    vel_jump: tuple
+    vel_bar: np.ndarray  # stacked (3, ...) like PrimitiveFields.vel
+    vel_jump: np.ndarray
     vel_jump_sq: np.ndarray  # |jump v|^2
     inv_beta_jump: np.ndarray
     T4_jump: np.ndarray  # None when kappa_r == 0
@@ -230,19 +231,19 @@ class FaceState:
 
     @_lazy
     def momentum_jump(self):
-        return tuple(r - l for l, r in zip(self.left.momenta, self.right.momenta))
+        return self.right.momenta - self.left.momenta
 
 
 def face_means(axis, left, right):
     """Build the :class:`FaceState` of faces with ``left``/``right`` states."""
     rho = pair_means(left.rho, right.rho, left.log_rho, right.log_rho)
     beta = pair_means(left.beta, right.beta, left.log_beta, right.log_beta)
-    vel_jump = tuple(r - l for l, r in zip(left.vel, right.vel))
+    vel_jump = right.vel - left.vel
     return FaceState(
         axis=axis, left=left, right=right, rho=rho, beta=beta,
-        vel_bar=tuple(0.5 * (l + r) for l, r in zip(left.vel, right.vel)),
+        vel_bar=0.5 * (left.vel + right.vel),
         vel_jump=vel_jump,
-        vel_jump_sq=vel_jump[0] * vel_jump[0] + vel_jump[1] * vel_jump[1] + vel_jump[2] * vel_jump[2],
+        vel_jump_sq=_sum_sq(vel_jump),
         inv_beta_jump=right.inv_beta - left.inv_beta,
         T4_jump=None if left.T4 is None else right.T4 - left.T4,
         p_face=rho.bar / (2.0 * beta.bar),
@@ -272,9 +273,8 @@ def entropy_variables(prim, gas):
     """Entropy-variable vector w (5, ...) in the beta scaling."""
     s = specific_entropy(prim, gas)
     gm1 = gas.gamma - 1.0
-    u, v, w = prim.vel
     w1 = gas.gamma / gm1 - s / gm1 - prim.beta * prim.speed_sq
-    return np.stack([w1, 2.0 * prim.beta * u, 2.0 * prim.beta * v, 2.0 * prim.beta * w, -2.0 * prim.beta])
+    return np.concatenate([[w1], 2.0 * prim.beta * prim.vel, [-2.0 * prim.beta]])
 
 
 def delta_w(face, gas):
@@ -289,8 +289,7 @@ def delta_w(face, gas):
     beta_bar = face.beta.bar
     w1 = (face.rho.jump / face.rho.ln
           + (face.inv_log_mean_beta / (gas.gamma - 1.0) - 2.0 * face.ke_bar) * d_beta)
-    momentum_rows = []
-    for d_u, u_bar in zip(face.vel_jump, face.vel_bar):
-        w1 = w1 - 2.0 * u_bar * beta_bar * d_u
-        momentum_rows.append(2.0 * beta_bar * d_u + 2.0 * u_bar * d_beta)
-    return np.stack([w1, *momentum_rows, -2.0 * d_beta])
+    kinetic = 2.0 * face.vel_bar * beta_bar * face.vel_jump
+    w1 = w1 - kinetic[0] - kinetic[1] - kinetic[2]
+    momentum_rows = 2.0 * beta_bar * face.vel_jump + 2.0 * face.vel_bar * d_beta
+    return np.concatenate([[w1], momentum_rows, [-2.0 * d_beta]])

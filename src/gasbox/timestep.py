@@ -16,10 +16,10 @@ evaluates it once per step, derives dt from the same primitives and face
 diffusion coefficients, and reuses k1 across rejections.
 
 A source (the manufactured-solution forcing) is evaluated once per step,
-at the three stage times (t, t+dt, t+dt/2) in one call.  The k1 flux walk
-must run before dt is known, so k1's forcing row is added after the step
-limit, from that call.  A rejection evaluates the forcing again at the two
-later stage times of the halved dt; k1's row stays.
+in one call.  k1's row, added after the step limit, is the k2 row of the
+accepted step before (whose t + dt is this t): the controller keeps it and
+asks only for t+dt and t+dt/2, the first step for t too.  A rejection asks
+again for the two later stage times of the halved dt; k1's row stays.
 """
 
 from dataclasses import dataclass
@@ -140,6 +140,7 @@ class StepController:
         self.params = params
         self.source = source  # forcing(grid, t), as from MMSWave.source, or None
         self.rejections = 0
+        self._next_row = (None, None)  # (t, forcing row at t) of the last accepted step's k2
 
     def _rhs(self, u, forcing=None, prim=None, on_block=None):
         return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant,
@@ -175,7 +176,9 @@ class StepController:
         """
         if k1 is None:
             k1 = self._rhs(u)
-        rows = self._forcing(t, t + dt, t + 0.5 * dt)
+        t_kept, row = self._next_row
+        rows = ({t: row, **self._forcing(t + dt, t + 0.5 * dt)} if t_kept == t
+                else self._forcing(t, t + dt, t + 0.5 * dt))
         if rows[t] is not None:
             k1 = _add_forcing(k1.copy(), rows[t], self.grid)
 
@@ -185,6 +188,7 @@ class StepController:
         for _ in range(self.params.max_rejects + 1):
             try:
                 u_new = ssprk3_step(u, dt, t, stage_rhs, k1=k1)
+                self._next_row = (t + dt, rows[t + dt])
                 return u_new, dt, primitives_from_conserved(u_new, self.gas)
             except PositivityError:
                 self.rejections += 1

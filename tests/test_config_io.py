@@ -472,7 +472,6 @@ mode = mms
         assert main(["converge", str(cfg)]) == 2
         assert re.search(r"line 4: \[convergence\] grids:", capsys.readouterr().err)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_monitor_is_a_physics_abort(self, tmp_path, capsys):
         # the 3-node probe of the config gate passes this block, but the
         # temperature gradient norm of the 65-node grid overflows

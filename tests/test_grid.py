@@ -130,6 +130,17 @@ class TestSBPIdentity:
         b = rng.uniform(1.0, 2.0, (10, 1, 1))
         assert sbp_residual(a, b, g, 0) == 0.0
 
+    def test_sample_axis_gives_each_samples_residual(self, rng):
+        g = build_grid((8, 6, 4))
+        a = rng.uniform(-1.0, 1.0, (5,) + g.shape)
+        for ax in range(3):
+            shape = list(g.shape)
+            shape[ax] += 1
+            b = rng.uniform(-1.0, 1.0, [5] + shape)
+            batched = sbp_residual(a, b, g, ax)
+            assert batched.shape == (5,)
+            assert batched.tolist() == [sbp_residual(a[k], b[k], g, ax) for k in range(5)]
+
     def test_linear_ramp(self):
         g = build_grid((4, 0, 0))
         a = g.nodes[0].reshape(-1, 1, 1)

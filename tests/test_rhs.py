@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gasbox.rhs
+from gasbox.config import parse_config
+from gasbox.driver import simulate
 from gasbox.fluxes import (
     LambdaVariant,
     _gradient_vector,
@@ -14,15 +16,23 @@ from gasbox.fluxes import (
 )
 from gasbox.grid import build_grid
 from gasbox.mms import MMSWave
-from gasbox.rhs import apply_boundary_state, assemble_rhs, face_fluxes, face_states
+from gasbox.rhs import apply_boundary_state, assemble_rhs, face_blocks, face_fluxes
 from gasbox.thermo import (
     GasParams,
     PositivityError,
     conserved_from_primitives,
     face_means,
+    primitives,
     primitives_from_conserved,
 )
 from gasbox.verify import random_admissible_field, random_states
+
+
+def interior_faces(u5, gas, ax):
+    """Face bundle of every interior face along ``ax``, from the two node slabs."""
+    lo = (slice(None),) * (ax + 1) + (slice(None, -1),)
+    hi = (slice(None),) * (ax + 1) + (slice(1, None),)
+    return face_means(ax, primitives_from_conserved(u5[lo], gas), primitives_from_conserved(u5[hi], gas))
 
 
 class TestBoundaryState:
@@ -128,10 +138,9 @@ class TestTranslationInvariance:
         p_over_h = 1.0 / (0.4 * g.spacing[0])
         assert np.max(np.abs(tend[1:4])) <= 1e-13 * p_over_h
 
-        prim = primitives_from_conserved(u5, gas)
         expected = np.zeros(g.shape)
         for ax in g.active_axes:
-            face = face_states(prim, ax)
+            face = interior_faces(u5, gas, ax)
             h = g.spacing[ax]
             coeffs = diffusion_coeffs(face, h, LambdaVariant.FIRST_ORDER, gas)
             flux = split_diffusive_flux(face, coeffs, h, gas)[0][0]
@@ -153,8 +162,7 @@ class TestTranslationInvariance:
         u5[0, 3, 0, 0] = 1.5  # conserved density only: pressure stays uniform
         for variant in LambdaVariant:
             tend = assemble_rhs(u5, g, gas, variant)
-            prim = primitives_from_conserved(u5, gas)
-            coeffs = diffusion_coeffs(face_states(prim, 0), g.spacing[0], variant, gas)
+            coeffs = diffusion_coeffs(interior_faces(u5, gas, 0), g.spacing[0], variant, gas)
             assert np.all(coeffs.lambda_face == 0.0)
             assert np.all(tend[1:4] == 0.0) or np.max(np.abs(tend[1:4])) <= 1e-14
 
@@ -236,6 +244,54 @@ class TestBlocks:
         blocked, small_blocks = run()
         assert np.array_equal(blocked, whole)
         assert small_blocks == one_block and sorted(one_block) == list(g.active_axes)
+
+
+class TestWalkPlan:
+    @pytest.mark.parametrize("text", [
+        "[grid]\nn = 8 6 4\n[solver]\nt_end = 0.2\n[initial]\npreset = gaussian_density_pulse\n"
+        "[output]\ncadence = 1\n",
+        "[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\n[solver]\nt_end = 0.05\n[initial]\npreset = mms_wave\n"
+        "[output]\ncadence = 1\n",
+    ], ids=["pulse-3d", "mms-1d"])
+    def test_a_run_plans_its_walk_once(self, monkeypatch, text):
+        # every walk of the run reads one plan object, so it was built once
+        cfg = parse_config(text)  # its admissibility probe walks a grid of its own
+        plans = []
+        walk_plan = gasbox.rhs._walk_plan
+
+        def recording_plan(grid):
+            plans.append((grid, walk_plan(grid)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(gasbox.rhs, "_walk_plan", recording_plan)
+        result = simulate(cfg)
+        assert result.steps > 2 and len(result.records) > 2
+        assert len(plans) > 3 * result.steps and all(grid is result.grid for grid, _ in plans)
+        assert len({id(plan) for _, plan in plans}) == 1
+
+    @pytest.mark.parametrize("n", [(64, 64, 64), (32, 16, 0), (256, 0, 0), (7, 5, 3)])
+    def test_face_blocks_keep_their_blocks(self, rng, gas, n):
+        # the (axis, index) sequence of the walk from before it was planned
+        # once per grid, and each block's sides cut out of the whole field
+        g = build_grid(n)
+        expected = []
+        for ax in g.active_axes:
+            b = 1 if ax == 0 else 0
+            step = max(1, gasbox.rhs._BLOCK_FACES * g.shape[b] // math.prod(g.shape))
+            expected += [(ax, (slice(None),) * b + (slice(lo, lo + step),))
+                         for lo in range(0, g.shape[b], step)]
+        rho, p = (rng.uniform(0.5, 2.0, g.shape) for _ in range(2))
+        prim = primitives(rho, tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(3)), p, gas)
+        blocks = list(face_blocks(prim, g))
+        assert [(face.axis, index) for face, index in blocks] == expected
+        for face, index in blocks:
+            cut = [slice(None)] * 3
+            cut[face.axis] = slice(None, -1)
+            assert np.array_equal(face.left.rho, prim.rho[index][tuple(cut)])
+            assert np.array_equal(face.left.vel, prim.vel[(slice(None),) + index][(slice(None),) + tuple(cut)])
+            cut[face.axis] = slice(1, None)
+            assert np.array_equal(face.right.momenta,
+                                  prim.momenta[(slice(None),) + index][(slice(None),) + tuple(cut)])
 
 
 class TestFaceFluxes:

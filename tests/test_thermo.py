@@ -140,6 +140,36 @@ class TestConversion:
         assert err.value.quantity == "temperature"
 
 
+class TestStackedVectorFields:
+    @settings(max_examples=100, deadline=None)
+    @given(shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_are_the_per_component_formulas(self, shape, seed):
+        # vel and momenta are (3,) + shape arrays; each row is bitwise what
+        # the component's own formula gives, and so are |v|^2 and the face
+        # means and jumps formed from them
+        gas = GasParams(gamma=1.4, R=1.0, mu0=0.01, mu1=1e-4, kappa_r=1e-6)
+        rng = np.random.default_rng(seed)
+        rho, p = (np.exp(rng.uniform(-3.0, 3.0, shape)) for _ in range(2))
+        vel = tuple(rng.uniform(-10.0, 10.0, shape) for _ in range(3))
+        u5 = conserved_from_primitives(rho, vel, p, gas)
+        built = primitives(rho, vel, p, gas)
+        converted = primitives_from_conserved(u5, gas)
+        for prim, comps in ((built, vel), (converted, tuple(u5[c] / u5[0] for c in (1, 2, 3)))):
+            assert prim.vel.shape == prim.momenta.shape == (3,) + shape
+            for c in range(3):
+                assert prim.vel[c].tobytes() == np.asarray(comps[c]).tobytes()
+                assert prim.momenta[c].tobytes() == (prim.rho * comps[c]).tobytes()
+            u, v, w = comps
+            assert prim.speed_sq.tobytes() == (u * u + v * v + w * w).tobytes()
+        face = face_means(0, built, converted)
+        for c in range(3):
+            assert face.vel_bar[c].tobytes() == (0.5 * (vel[c] + converted.vel[c])).tobytes()
+            assert face.vel_jump[c].tobytes() == (converted.vel[c] - vel[c]).tobytes()
+        d = face.vel_jump
+        assert face.vel_jump_sq.tobytes() == (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).tobytes()
+
+
 class TestEntropyQuantities:
     def test_reference_state(self, inviscid_gas):
         prim = primitives(np.array([1.0]), (np.array([0.0]),) * 3, np.array([1.0]), inviscid_gas)

@@ -290,8 +290,10 @@ class TestEvaluationCounts:
 class TestForcingCalls:
     @pytest.mark.parametrize("fault_at", [None, 3])
     def test_one_forcing_call_per_step_and_rejection(self, monkeypatch, fault_at):
-        # one kernel call per step, at its three stage times, and one per
-        # rejection; the fault rejects the first step's stage 3 once
+        # one kernel call per step and one per rejection; the first asks for
+        # the three stage times, every later one only for t + dt and
+        # t + dt/2, as k1's row is the step before's k2 row; the fault
+        # rejects the first step's stage 3 once
         kernel_calls = []
         compiled = gasbox.mms._compiled_source
 
@@ -319,7 +321,41 @@ class TestForcingCalls:
         assert result.steps > 3
         assert result.rejections == (0 if fault_at is None else 1)
         assert len(kernel_calls) == result.steps + result.rejections
-        assert kernel_calls == [3] + [2] * result.rejections + [3] * (result.steps - 1)
+        assert kernel_calls == [3] + [2] * result.rejections + [2] * (result.steps - 1)
+
+    @pytest.mark.parametrize("fault_at", [None, 3, 8])
+    def test_k1_row_is_the_source_at_t_alone(self, monkeypatch, fault_at):
+        # every k1 forcing row, kept from the step before or not, is bitwise
+        # the source called at the step's t alone, with and without a
+        # rejection (stage 3 of the first step, or stage 2 of the third)
+        attempts, k1_rows, rhs_calls = [], [], []
+        attempt_step = StepController.attempt_step
+        add_forcing = gasbox.timestep._add_forcing
+
+        def recording_attempt(self, u, t, dt, k1=None):
+            attempts.append((self, t))
+            return attempt_step(self, u, t, dt, k1=k1)
+
+        def recording_add(tend, forcing, grid):
+            k1_rows.append(forcing.copy())
+            return add_forcing(tend, forcing, grid)
+
+        def faulting_rhs(*args, **kwargs):
+            rhs_calls.append(None)
+            if len(rhs_calls) == fault_at:
+                raise PositivityError("density", (0,), -1.0)
+            return assemble_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(StepController, "attempt_step", recording_attempt)
+        monkeypatch.setattr(gasbox.timestep, "_add_forcing", recording_add)
+        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs)
+        cfg = parse_config("[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
+                           "[solver]\ncfl = 0.4\nt_end = 0.1\n[initial]\npreset = mms_wave\n")
+        result = gasbox.driver.simulate(cfg)
+        assert result.rejections == (0 if fault_at is None else 1)
+        assert len(k1_rows) == len(attempts) == result.steps > 3
+        for (ctrl, t), row in zip(attempts, k1_rows):
+            assert np.array_equal(row, ctrl.source(ctrl.grid, t))
 
 
 class TestSharedFirstStage:
