@@ -116,6 +116,10 @@ def _cmd_converge(args):
 
 
 def _cmd_verify(args):
+    if args.seed < 0:
+        print(f"usage error: --seed must be a nonnegative integer (got {args.seed})",
+              file=sys.stderr)
+        return 2
     ok = run_verification(seed=args.seed, fast=args.fast)
     return 0 if ok else 1
 

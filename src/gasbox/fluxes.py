@@ -70,12 +70,9 @@ def _mean_logmean_jump_ratio(rho):
     z = zeta * zeta
     num = 1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0)))
     den = 1.0 + z * (1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0))))
-    series = 0.5 * zeta * num / den
-
-    safe = np.where(d_rho == 0.0, 1.0, d_rho)
-    direct = (rho.bar - rho.ln) / safe
-    out = np.where(np.abs(zeta) < _RATIO_SERIES_CUTOFF, series, direct)
-    return np.where(d_rho == 0.0, 0.0, out)
+    out = np.asarray(0.5 * zeta * num / den)  # +0.0 at a zero jump
+    return np.divide(rho.bar - rho.ln, d_rho, out=out,
+                     where=np.abs(zeta) >= _RATIO_SERIES_CUTOFF)
 
 
 def density_jump_sensor(rho, variant):

@@ -153,12 +153,6 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
         block[last] += flux[last] * w_last
         # free this block's face bundle before the next one is built
         del face, flux, coeffs, diff
-    return _add_forcing(tend, forcing, grid)
-
-
-def _add_forcing(tend, forcing, grid):
-    """Add ``forcing`` (None for none) to the tendency ``tend`` in place,
-    then freeze its wall momentum rows; returns ``tend``."""
     if forcing is not None:
         tend += forcing
     _zero_wall_momenta(tend, grid)

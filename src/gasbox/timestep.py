@@ -15,11 +15,11 @@ aborts the run if that fails.  k1 does not depend on dt, so the controller
 evaluates it once per step, derives dt from the same primitives and face
 diffusion coefficients, and reuses k1 across rejections.
 
-A source (the manufactured-solution forcing) is evaluated once per step,
-in one call.  k1's row, added after the step limit, is the k2 row of the
-accepted step before (whose t + dt is this t): the controller keeps it and
-asks only for t+dt and t+dt/2, the first step for t too.  A rejection asks
-again for the two later stage times of the halved dt; k1's row stays.
+A source (the manufactured-solution forcing) enters every stage the same
+way, as the forcing row of its tendency.  k1's row is the k2 row of the
+accepted step before, whose t + dt is this t (the first step asks the
+source for t alone); each attempt asks for t+dt and t+dt/2 in one call.
+A run makes steps + rejections + 1 source calls.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import LambdaVariant, diffusion_coeffs
-from .rhs import _add_forcing, assemble_rhs, face_blocks
+from .rhs import assemble_rhs, face_blocks
 from .thermo import PositivityError, primitives_from_conserved
 
 __all__ = [
@@ -154,38 +154,37 @@ class StepController:
         return dict(zip(times, self.source(self.grid, np.array(times))))
 
     def first_stage(self, u, t, prim):
-        """k1 = L(u, t) without its forcing, and :func:`stable_dt` of ``u``,
+        """k1 = L(u, t) with its forcing row, and :func:`stable_dt` of ``u``,
         both from the primitives ``prim`` of ``u`` and the same face bundles."""
         block_max = []
 
         def on_block(face, index, flux, coeffs):
             block_max.append(float(np.max(coeffs.tilde_nu)))
 
-        k1 = self._rhs(u, prim=prim, on_block=on_block)
+        t_kept, row = self._next_row
+        if t_kept != t:
+            row = self._forcing(t)[t]
+        k1 = self._rhs(u, forcing=row, prim=prim, on_block=on_block)
         return k1, _step_limit(prim, max(block_max), self.grid, self.gas, self.params)
 
     def attempt_step(self, u, t, dt, k1=None):
         """Advance one step, halving dt on positivity faults.
 
-        ``k1``, the tendency at (u, t) without its forcing if known (see
-        :meth:`first_stage`), is not written; k1 with its forcing row is
-        reused by every retry.  Returns (u_new, dt_used, primitives of
-        u_new).  Raises :class:`RunAbort` when the step cannot be completed
-        within the rejection budget, :class:`PositivityError` when ``u`` is
-        not admissible.
+        ``k1``, the tendency at (u, t) from :meth:`first_stage` (evaluated
+        here if not given), is not written and is reused by every retry.
+        Returns (u_new, dt_used, primitives of u_new).  Raises
+        :class:`RunAbort` when the step cannot be completed within the
+        rejection budget, :class:`PositivityError` when ``u`` is not
+        admissible.
         """
         if k1 is None:
-            k1 = self._rhs(u)
-        t_kept, row = self._next_row
-        rows = ({t: row, **self._forcing(t + dt, t + 0.5 * dt)} if t_kept == t
-                else self._forcing(t, t + dt, t + 0.5 * dt))
-        if rows[t] is not None:
-            k1 = _add_forcing(k1.copy(), rows[t], self.grid)
+            k1, _ = self.first_stage(u, t, primitives_from_conserved(u, self.gas))
 
         def stage_rhs(u_stage, t_stage):
             return self._rhs(u_stage, forcing=rows[t_stage])
 
         for _ in range(self.params.max_rejects + 1):
+            rows = self._forcing(t + dt, t + 0.5 * dt)
             try:
                 u_new = ssprk3_step(u, dt, t, stage_rhs, k1=k1)
                 self._next_row = (t + dt, rows[t + dt])
@@ -195,8 +194,6 @@ class StepController:
                 dt *= 0.5
                 if dt < self.params.dt_min:
                     break
-                # k1 keeps its row; the stages read the rows of the halved dt
-                rows = self._forcing(t + dt, t + 0.5 * dt)
         raise RunAbort(f"positivity could not be restored at t = {t:.6g}", t, u)
 
     def advance(self, u, t, t_end, on_step=None):

@@ -494,8 +494,10 @@ mode = mms
         (["run"], "{out}", "{file}", 2, "config error: cannot create output directory"),
         (["run"], "{out}", "{file}/sub", 2, "config error: cannot create output directory"),
         (["verify", "--fast", "--seed", "1"], "", "", 0, ""),
+        (["verify", "--fast", "--seed", "-1"], "", "", 2, "usage error: --seed"),
     ], ids=["run-unknown-key", "converge-unknown-key", "run-abort", "converge-abort",
-            "run-directory-is-a-file", "run-directory-under-a-file", "verify"])
+            "run-directory-is-a-file", "run-directory-under-a-file", "verify",
+            "verify-negative-seed"])
     def test_exit_code_matrix(self, tmp_path, capsys, argv, old, new, code, err):
         # in process, so a traceback fails the test instead of exiting 1
         (tmp_path / "file").write_text("")

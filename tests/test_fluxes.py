@@ -158,8 +158,10 @@ class TestSensorsAndLambda:
     def test_jump_ratio_sign_and_bound(self, rng):
         a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 10**5))
         b = a * np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 10**5))
+        b[::10] = a[::10]  # exactly equal pairs: the ratio is +0.0
         ratio = _mean_logmean_jump_ratio(density_pairs(a, b))
         assert np.all(np.sign(ratio) == np.sign(b - a))
+        assert not np.any(np.signbit(ratio[::10]))
         assert np.max(np.abs(ratio)) <= 0.5 + 1e-12
 
     def test_floor_sensor_dominance(self, rng):

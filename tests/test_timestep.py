@@ -287,13 +287,28 @@ class TestEvaluationCounts:
         assert counts["rhs"] == 3 + 2
 
 
+MMS_CFG = ("[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
+           "[solver]\ncfl = 0.4\nt_end = 0.1\n[initial]\npreset = mms_wave\n")
+
+
+def faulting_rhs(fault_at):
+    """``assemble_rhs`` that raises a positivity fault at its ``fault_at``-th call."""
+    calls = []
+
+    def rhs(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fault_at:
+            raise PositivityError("density", (0,), -1.0)
+        return assemble_rhs(*args, **kwargs)
+    return rhs
+
+
 class TestForcingCalls:
     @pytest.mark.parametrize("fault_at", [None, 3])
     def test_one_forcing_call_per_step_and_rejection(self, monkeypatch, fault_at):
-        # one kernel call per step and one per rejection; the first asks for
-        # the three stage times, every later one only for t + dt and
-        # t + dt/2, as k1's row is the step before's k2 row; the fault
-        # rejects the first step's stage 3 once
+        # the first k1 asks for its row at t alone; every attempt then asks
+        # for t + dt and t + dt/2 in one call, as each later k1 row is the
+        # step before's k2 row; the fault rejects the first step's stage 3 once
         kernel_calls = []
         compiled = gasbox.mms._compiled_source
 
@@ -305,57 +320,49 @@ class TestForcingCalls:
                 return kernel(x, t)
             return counted
 
-        rhs_calls = []
-
-        def faulting_rhs(*args, **kwargs):
-            rhs_calls.append(None)
-            if len(rhs_calls) == fault_at:
-                raise PositivityError("density", (0,), -1.0)
-            return assemble_rhs(*args, **kwargs)
-
         monkeypatch.setattr(gasbox.mms, "_compiled_source", counting_source)
-        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs)
-        cfg = parse_config("[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
-                           "[solver]\ncfl = 0.4\nt_end = 0.1\n[initial]\npreset = mms_wave\n")
-        result = gasbox.driver.simulate(cfg)
+        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs(fault_at))
+        result = gasbox.driver.simulate(parse_config(MMS_CFG))
         assert result.steps > 3
         assert result.rejections == (0 if fault_at is None else 1)
-        assert len(kernel_calls) == result.steps + result.rejections
-        assert kernel_calls == [3] + [2] * result.rejections + [2] * (result.steps - 1)
+        assert len(kernel_calls) == result.steps + result.rejections + 1
+        assert kernel_calls == [1] + [2] * (result.steps + result.rejections)
 
     @pytest.mark.parametrize("fault_at", [None, 3, 8])
     def test_k1_row_is_the_source_at_t_alone(self, monkeypatch, fault_at):
-        # every k1 forcing row, kept from the step before or not, is bitwise
-        # the source called at the step's t alone, with and without a
-        # rejection (stage 3 of the first step, or stage 2 of the third)
-        attempts, k1_rows, rhs_calls = [], [], []
-        attempt_step = StepController.attempt_step
-        add_forcing = gasbox.timestep._add_forcing
+        # at every first stage of a run, kept row or not, k1 is bitwise the
+        # tendency with the source called at the step's t alone, with and
+        # without a rejection (stage 3 of the first step, or stage 2 of the third)
+        k1s = []
+        first_stage = StepController.first_stage
 
-        def recording_attempt(self, u, t, dt, k1=None):
-            attempts.append((self, t))
-            return attempt_step(self, u, t, dt, k1=k1)
+        def recording_first_stage(self, u, t, prim):
+            k1, dt = first_stage(self, u, t, prim)
+            k1s.append((self, u, t, k1))
+            return k1, dt
 
-        def recording_add(tend, forcing, grid):
-            k1_rows.append(forcing.copy())
-            return add_forcing(tend, forcing, grid)
-
-        def faulting_rhs(*args, **kwargs):
-            rhs_calls.append(None)
-            if len(rhs_calls) == fault_at:
-                raise PositivityError("density", (0,), -1.0)
-            return assemble_rhs(*args, **kwargs)
-
-        monkeypatch.setattr(StepController, "attempt_step", recording_attempt)
-        monkeypatch.setattr(gasbox.timestep, "_add_forcing", recording_add)
-        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs)
-        cfg = parse_config("[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
-                           "[solver]\ncfl = 0.4\nt_end = 0.1\n[initial]\npreset = mms_wave\n")
-        result = gasbox.driver.simulate(cfg)
+        monkeypatch.setattr(StepController, "first_stage", recording_first_stage)
+        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs(fault_at))
+        result = gasbox.driver.simulate(parse_config(MMS_CFG))
         assert result.rejections == (0 if fault_at is None else 1)
-        assert len(k1_rows) == len(attempts) == result.steps > 3
-        for (ctrl, t), row in zip(attempts, k1_rows):
-            assert np.array_equal(row, ctrl.source(ctrl.grid, t))
+        assert len(k1s) == result.steps > 3
+        for ctrl, u, t, k1 in k1s:
+            expected = assemble_rhs(u, ctrl.grid, ctrl.gas, ctrl.params.lambda_variant,
+                                    forcing=ctrl.source(ctrl.grid, t))
+            assert np.array_equal(k1, expected)
+
+    def test_attempt_step_forms_k1_as_first_stage_does(self, gas):
+        g = build_grid((32, 0, 0))
+        wave = gasbox.mms.MMSWave()
+        u0 = wave.conserved(g, 0.0, gas)
+        params = SolverParams(cfl=0.4)
+        given = StepController(g, gas, params, source=wave.source(gas))
+        derived = StepController(g, gas, params, source=wave.source(gas))
+        k1, dt = given.first_stage(u0, 0.0, primitives_from_conserved(u0, gas))
+        u_given, dt_given, _ = given.attempt_step(u0, 0.0, dt, k1=k1)
+        u_derived, dt_derived, _ = derived.attempt_step(u0, 0.0, dt)
+        assert dt_given == dt_derived == dt
+        assert np.array_equal(u_given, u_derived)
 
 
 class TestSharedFirstStage:

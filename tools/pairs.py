@@ -1,36 +1,40 @@
-"""Interleaved parent/change pairs of the benchmark, for a speed claim.
+"""Interleaved parent/change pairs of the benchmark, with the verdict of its bounds.
 
-    python3 tools/pairs.py --workload mms1d --pairs 10 --first-seed 41 \
-        [--base HEAD~1] [--seconds 35]
+    python3 tools/pairs.py --workload mms1d [--workload verify | --workload all] \
+        --pairs 10 --first-seed 41 [--base HEAD~1] [--seconds 35]
 
-Run from anywhere inside a checkout; stdlib only.  The base commit
-(default: the parent of HEAD) is checked out into a temporary git
-worktree.  Pair i runs ``perfbench/run.py --trace 0`` with seed
-``first-seed + i`` once in the base worktree and once in this checkout
-(its working tree, uncommitted edits included), the base first in even
-pairs and the change first in odd ones.  For every end-to-end metric
-that ``BENCHMARK.json`` names, it prints each side's median and
-quartiles, the ratio of the medians, in how many pairs the change was
-better (ties count for neither side), and whether the gap between the
-medians exceeds the base's interquartile range.  The worktree is removed
-at the end, also on failure or Ctrl-C.  Nothing under ``perfbench/`` is
-edited; each side writes its outputs to its own ``perfbench/.work/``.
+Run from anywhere inside a checkout; stdlib only.  The committed files of
+the base commit (default: the parent of HEAD) are unpacked with
+``git archive`` into a temporary directory.  For each workload in turn,
+pair i runs ``perfbench/run.py --trace 0`` with seed ``first-seed + i``
+once in the base copy and once in this checkout (its working tree,
+uncommitted edits included), the base first in even pairs and the change
+first in odd ones.  For every end-to-end metric that ``BENCHMARK.json``
+names, one table per workload gives each side's median and quartiles, the
+ratio of the medians, in how many pairs the change was better (ties count
+for neither side), whether the gap between the medians exceeds the base's
+interquartile range (what a claimed gain needs, with 9 of 10 wins), and
+the :func:`verdict` against the metric's bound.  The temporary copy is
+removed at the end, also on failure or Ctrl-C.  Nothing under
+``perfbench/`` is edited; each side writes its outputs to its own
+``perfbench/.work/``.
 """
 
 import argparse
+import io
 import json
 import pathlib
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
 
 
 def bench(checkout, workload, seed, seconds):
@@ -50,56 +54,81 @@ def quartiles(values):
     return q1, q3
 
 
+def verdict(base, change, better, bound):
+    """``"worse"``, ``"unresolved"`` or ``"ok"`` for one end-to-end metric.
+
+    ``base`` and ``change`` are the runs' values, ``better`` is ``"lower"``
+    or ``"higher"``, ``bound`` the relative bound of ``BENCHMARK.json``.
+    Worse: the change's median is worse than the base's by more than
+    ``bound`` times the base's median.  Unresolved: the base's
+    interquartile range is wider than that, and not every change run beats
+    every base run.  Ok otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (change - base) > 0 is worse
+    mb = statistics.median(base)
+    allowed = bound * abs(mb)
+    if sign * (statistics.median(change) - mb) > allowed:
+        return "worse"
+    q1, q3 = quartiles(base)
+    if q3 - q1 > allowed and not all(sign * (c - b) < 0 for c in change for b in base):
+        return "unresolved"
+    return "ok"
+
+
 def report(metrics, runs):
-    """One line per metric; ``runs`` is a list of (base, change) results."""
+    """One line per metric; ``metrics`` holds (name, better, bound) and
+    ``runs`` is a list of (base, change) results."""
     print(f"{'metric':<17} {'base median [q1, q3]':>38} {'change median [q1, q3]':>38}"
-          f" {'ratio':>6} {'wins':>6} {'gap > base IQR':>14}")
-    for name, better in metrics:
+          f" {'ratio':>6} {'wins':>6} {'gap > base IQR':>14} {'verdict':>10}")
+    for name, better, bound in metrics:
         base = [b["metrics"][name]["value"] for b, _ in runs]
         change = [c["metrics"][name]["value"] for _, c in runs]
         wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
         (mb, q1, q3), (mc, c1, c3) = ((statistics.median(v), *quartiles(v)) for v in (base, change))
         cells = [f"{m:.5g} [{lo:.5g}, {hi:.5g}]" for m, lo, hi in ((mb, q1, q3), (mc, c1, c3))]
         print(f"{name:<17} {cells[0]:>38} {cells[1]:>38} {mc / mb:>6.3f}"
-              f" {f'{wins}/{len(runs)}':>6} {str(abs(mc - mb) > q3 - q1):>14}")
+              f" {f'{wins}/{len(runs)}':>6} {str(abs(mc - mb) > q3 - q1):>14}"
+              f" {verdict(base, change, better, bound):>10}")
     failed = [(b["failed"], c["failed"]) for b, c in runs]
     print(f"failed repetitions per pair (base, change): {failed}")
 
 
 def main():
+    config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in config["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True, choices=names + ["all"],
+                    help="repeat for several; 'all' runs every workload of BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=41)
     ap.add_argument("--base", default="HEAD~1", help="commit to compare against (default HEAD~1)")
     ap.add_argument("--seconds", type=float, default=None,
                     help="run length per side (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args()
-    config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = names if "all" in args.workload else list(dict.fromkeys(args.workload))
     seconds = args.seconds if args.seconds is not None else config["run_seconds"]
-    metrics = [(m["name"], m["better"]) for m in config["end_to_end"]]
-    sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    metrics = [(m["name"], m["better"], m["bound"]) for m in config["end_to_end"]]
+    sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
 
     with tempfile.TemporaryDirectory(prefix="gasbox-pairs-") as tmp:
         base = pathlib.Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(base), sha)
-        try:
+        with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as archive:
+            archive.extractall(base)
+        for workload in workloads:
             runs = []
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 order = [("base", base), ("change", ROOT)]
                 if i % 2:
                     order.reverse()
-                result = {side: bench(path, args.workload, seed, seconds) for side, path in order}
+                result = {side: bench(path, workload, seed, seconds) for side, path in order}
                 runs.append((result["base"], result["change"]))
-                print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0][0]} first): "
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} ({order[0][0]} first): "
                       + ", ".join(f"{name} {result['base']['metrics'][name]['value']:.6g} -> "
                                   f"{result['change']['metrics'][name]['value']:.6g}"
-                                  for name, _ in metrics), flush=True)
-        finally:
-            git("worktree", "remove", "--force", str(base))
-    print(f"{args.workload}: {len(runs)} pairs, base {sha[:10]}, {seconds:g} s per run")
-    report(metrics, runs)
+                                  for name, _, _ in metrics), flush=True)
+            print(f"{workload}: {len(runs)} pairs, base {sha[:10]}, {seconds:g} s per run")
+            report(metrics, runs)
     return 0
 
 
