@@ -117,17 +117,19 @@ def _cmd_converge(args):
 
 def _cmd_verify(args):
     if args.seed < 0:
-        print(f"usage error: --seed must be a nonnegative integer (got {args.seed})",
-              file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(None, f"--seed must be a nonnegative integer (got {args.seed})")
     ok = run_verification(seed=args.seed, fast=args.fast)
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error reaches main() as an exception
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="gasbox",
-                                     description="finite-volume solver for a mass-diffusive "
-                                                 "compressible gas in a closed box")
+    parser = _Parser(prog="gasbox", description="finite-volume solver for a mass-diffusive "
+                                                "compressible gas in a closed box")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="advance a configured problem to t_end")
@@ -143,9 +145,12 @@ def main(argv=None):
     p_ver.add_argument("--fast", action="store_true", help="smaller sample sizes")
     p_ver.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

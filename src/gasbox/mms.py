@@ -17,6 +17,12 @@ The shapes
 additionally make every equation residual an even function of x at the
 walls (and the momentum residual zero there), so the half-width wall
 cells retain the interior's formal accuracy.
+
+In theta = omega t, rho and T are affine in cos(theta), u is a multiple of
+sin(theta), and the only denominators, rho and rho^2, come from nu = mu0/rho
++ mu1 rho: rho^2 times each residual is a trigonometric polynomial of degree
+<= 6 (reached by rho^2 times mu1 rho E_x, kappa_r (T^4)_x and ((E + p) u)_x),
+fitted per node once per grid (:func:`_fit`).
 """
 
 from dataclasses import dataclass
@@ -47,22 +53,30 @@ class MMSWave:
 
     def conserved(self, grid, t, gas):
         """Exact conserved field sampled at the nodes."""
-        rho, u, temp = _sample(_compiled_state(self, gas), grid, t, (0, 1, 2), 3)
-        zero = np.zeros_like(rho)
+        fields = _compiled_state(self, gas)(grid.nodes[0][:, None, None], t)
+        rho, u, temp = (np.broadcast_to(v, grid.shape) for v in fields)
+        zero = np.zeros(grid.shape)
         return conserved_from_primitives(rho, (u, zero, zero), rho * gas.R * temp, gas)
 
     def source(self, gas):
         """Forcing callable ``forcing(grid, t)`` for the tendency.
 
-        A scalar ``t`` gives the array ``(5,) + grid.shape``.  A vector of
-        k times gives ``(k, 5) + grid.shape``, one row per time, from one
-        kernel call: the x-only factors are computed once for all k, and
-        each row is bitwise equal to the call at its time alone.
+        A scalar ``t`` gives ``(5,) + grid.shape``, k times ``(k, 5) + grid.shape``.
+        After the fit on a grid's first call, each row is one matrix-vector
+        product and one division of its own: bitwise the call at its time alone.
         """
         kernel = _compiled_source(self, gas)
+        fits = {}  # id(grid) -> (grid, its fit); holding the grid keeps its id
 
         def forcing(grid, t):
-            return _sample(kernel, grid, t, (0, 1, 4), 5)
+            if id(grid) not in fits:
+                fits[id(grid)] = grid, _fit(kernel, self, gas, grid.nodes[0])
+            coeffs = fits[id(grid)][1]
+            times = np.asarray(t, dtype=float)
+            out = np.zeros((times.size, 5) + grid.shape)
+            for k, tk in enumerate(times.flat):
+                out[k, (0, 1, 4)] = _rows(coeffs, self.omega * tk).reshape(3, -1, 1, 1)
+            return out.reshape(times.shape + (5,) + grid.shape)
 
         return forcing
 
@@ -89,15 +103,41 @@ def mms_preset(grid, gas, **params):
     return wave.conserved(grid, 0.0, gas)
 
 
-def _sample(kernel, grid, t, rows, n_rows):
-    # the times along a leading axis of their own, a scalar too, so a row is
-    # computed the same way in a batch as alone
-    times = np.asarray(t, dtype=float)
-    out = np.zeros((times.size, n_rows) + grid.shape)
-    # row by row: a residual that is identically zero comes back as a scalar
-    for row, val in zip(rows, kernel(grid.nodes[0][:, None, None], times.reshape(-1, 1, 1, 1))):
-        out[:, row] = val
-    return out.reshape(times.shape + (n_rows,) + grid.shape)
+# 16 equally spaced angles, at which a real DFT recovers the harmonics 0..6
+# exactly, then three guard angles between samples
+_HARMONICS = 1j * np.arange(7)
+_ANGLES = 2.0 * np.pi / 16 * np.r_[np.arange(16), 0.5, 5.5, 10.5]
+
+
+def _basis(theta):
+    """cos(j theta), sin(j theta) for j = 0..6 (sin 0 too), interleaved."""
+    return np.exp(np.multiply.outer(theta, _HARMONICS)).view(float)
+
+
+def _rows(coeffs, theta):
+    """The mass, momentum and energy rows of a fit at the angle ``theta``."""
+    num = (_basis(theta) @ coeffs).reshape(4, -1)
+    return num[:3] / num[3]
+
+
+def _fit(kernel, ms, gas, x):
+    """Coefficients in :func:`_basis` ``(14, 4 x.size)`` of rho^2 times each
+    residual and of rho^2 at ``x``, from one kernel call (at t = 0 if |omega|
+    <= 1e-300, below which omega t is rounding for any t < 1e10).
+    RuntimeError if a guard angle misses the kernel by more than rounding
+    times the fit's conditioning (rho_max / rho_min)^2."""
+    times = (_ANGLES / ms.omega if abs(ms.omega) > 1e-300 else 0.0 * _ANGLES)[:, None]
+    shape = (_ANGLES.size, x.size)
+    res = np.stack([np.broadcast_to(r, shape) for r in kernel(x, times)], axis=1)
+    rho2 = np.broadcast_to(_compiled_state(ms, gas)(x, times)[0] ** 2, shape)[:, None]
+    samples = np.concatenate([res * rho2, rho2], axis=1)[:16].reshape(16, -1)
+    coeffs = (_basis(_ANGLES[:16]) * np.r_[1.0, 1.0, np.full(12, 2.0)] / 16).T @ samples
+    fitted = np.array([_rows(coeffs, ms.omega * tk) for tk in times[16:, 0]])
+    miss = np.max(np.abs(fitted - res[16:]), axis=(0, 2))
+    if not np.all(miss <= 1e-12 * (rho2.max() / rho2.min()) * np.max(np.abs(res), axis=(0, 2))):
+        raise RuntimeError(f"the manufactured forcing times rho^2 is not a trigonometric "
+                           f"polynomial of degree 6 in omega t: the fit misses it by {miss}")
+    return coeffs
 
 
 @lru_cache(maxsize=None)

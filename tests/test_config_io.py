@@ -509,6 +509,26 @@ mode = mms
         printed = capsys.readouterr().err
         assert re.match(err, printed) and printed.count("\n") == (code != 0)
 
+    @pytest.mark.parametrize("argv, err", [
+        (["verify", "--seed", "x"], "usage error: argument --seed: invalid int value: 'x'\n"),
+        (["run"], "usage error: the following arguments are required: config\n"),
+        ([], "usage error: the following arguments are required: command\n"),
+        (["frob"], "usage error: argument command: invalid choice: 'frob' "),
+    ], ids=["verify-seed-not-an-int", "run-without-config", "no-subcommand", "unknown-subcommand"])
+    def test_usage_errors_print_one_line_and_exit_2(self, capsys, argv, err):
+        # argparse's own errors take the one-line exit-2 path of every
+        # other usage or config error, not its usage line and SystemExit
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err) and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gasbox ")
+
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast", "--seed", "1"]) == 0
         assert "verification passed" in capsys.readouterr().out

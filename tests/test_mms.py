@@ -1,12 +1,15 @@
 """The compiled manufactured-solution forcing against its symbolic source."""
 
+import dataclasses
 import os
 import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 import gasbox
 from gasbox.grid import build_grid
@@ -31,6 +34,61 @@ def test_kernel_matches_symbolic_residuals():
         scale = np.max(np.abs(exact))
         assert scale > 0.0
         assert np.max(np.abs(got - exact)) <= 1e-13 * scale
+
+
+def test_forcing_matches_symbolic_residuals():
+    # every node of a 32-interval grid at the POINTS times, against the
+    # residuals evaluated with 30 significant digits (mpmath, as evalf(30))
+    x, t, *_, s_mass, s_mom, s_energy = _symbolic(WAVE, GAS)
+    residuals = sp.lambdify((x, t), [s_mass, s_mom, s_energy], "mpmath")
+    g = build_grid((32, 0, 0), extent=(WAVE.length, 1.0, 1.0))
+    forcing = WAVE.source(GAS)
+    with mpmath.workdps(30):
+        exact = np.array([[[float(r) for r in residuals(mpmath.mpf(xv), mpmath.mpf(tv))]
+                           for xv in g.nodes[0]] for _, tv in POINTS])
+    got = np.array([forcing(g, tv)[[0, 1, 4], :, 0, 0].T for _, tv in POINTS])
+    scale = np.max(np.abs(exact), axis=(0, 1))
+    assert np.all(scale > 0.0)
+    assert np.all(np.max(np.abs(got - exact), axis=(0, 1)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("omega", [0.0, -3.0])
+def test_forcing_matches_the_kernel_at_any_frequency(omega):
+    # omega = 0 samples every angle at t = 0, so the fit is the constant
+    wave = dataclasses.replace(WAVE, omega=omega)
+    kernel = _compiled_source(wave, GAS)
+    g = build_grid((32, 0, 0), extent=(wave.length, 1.0, 1.0))
+    x = g.nodes[0]
+    times = np.array([tv for _, tv in POINTS])
+    got = wave.source(GAS)(g, times)[..., 0, 0][:, [0, 1, 4]]
+    expected = np.stack([np.broadcast_to(r, (times.size, x.size))
+                         for r in kernel(x, times[:, None])], axis=1)
+    scale = np.max(np.abs(expected), axis=(0, 2))
+    assert np.all(np.max(np.abs(got - expected), axis=(0, 2)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("mu0", [0.01, 1.0])
+def test_nearly_vacuous_wave_passes_the_fit_guard(mu0):
+    # rho_max / rho_min = 1999: the guard's tolerance grows with the fit's
+    # conditioning, so this valid wave builds its forcing
+    gas = dataclasses.replace(GAS, mu0=mu0)
+    wave = MMSWave(rho_amp=0.999, temp_amp=0.999, vel_amp=3.0)
+    f = wave.source(gas)(build_grid((64, 0, 0)), np.array([0.1, 0.2]))
+    assert np.all(np.isfinite(f))
+
+
+def test_fit_guard_rejects_a_higher_harmonic(monkeypatch):
+    # a cos(9 omega t) term is beyond the fit's degree: the first call raises
+    compiled = _compiled_source
+
+    def with_harmonic(ms, gas):
+        kernel = compiled(ms, gas)
+        return lambda x, t: [r + np.cos(9.0 * ms.omega * t) for r in kernel(x, t)]
+
+    monkeypatch.setattr(gasbox.mms, "_compiled_source", with_harmonic)
+    forcing = WAVE.source(GAS)
+    with pytest.raises(RuntimeError, match="degree 6"):
+        forcing(build_grid((16, 0, 0), extent=(WAVE.length, 1.0, 1.0)), 0.1)
 
 
 def test_transverse_momentum_rows_are_zero():

@@ -37,3 +37,18 @@ def scaled(values, factor):
 ])
 def test_verdict(base, change, better, bound, expected):
     assert pairs.verdict(base, change, better, bound) == expected
+
+
+@pytest.mark.parametrize("base, change, better, expected", [
+    # a host that drifts 2x between pairs: the medians overlap, every pair
+    # ratio is 0.5 and the change wins every pair
+    ([100.0, 200.0, 150.0, 120.0], [50.0, 100.0, 75.0, 60.0], "lower",
+     (135.0, 67.5, (0.5, 0.5, 0.5), 4)),
+    ([10.0, 10.0, 20.0], [12.0, 10.0, 18.0], "lower", (10.0, 12.0, (1.0, 0.9, 1.2), 1)),
+    ([10.0, 10.0, 20.0], [12.0, 10.0, 18.0], "higher", (10.0, 12.0, (1.0, 0.9, 1.2), 1)),
+    # a zero base value gives no ratio: a layer the base never ran
+    ([0.0, 4.0], [1.0, 2.0], "lower", (2.0, 1.5, (0.5, 0.5, 0.5), 1)),
+    ([0.0, 0.0], [0.0, 0.0], "lower", (0.0, 0.0, None, 0)),
+])
+def test_ratio_summary(base, change, better, expected):
+    assert pairs.ratio_summary(base, change, better) == expected

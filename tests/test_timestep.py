@@ -308,25 +308,35 @@ class TestForcingCalls:
     def test_one_forcing_call_per_step_and_rejection(self, monkeypatch, fault_at):
         # the first k1 asks for its row at t alone; every attempt then asks
         # for t + dt and t + dt/2 in one call, as each later k1 row is the
-        # step before's k2 row; the fault rejects the first step's stage 3 once
-        kernel_calls = []
-        compiled = gasbox.mms._compiled_source
+        # step before's k2 row; the fault rejects the first step's stage 3
+        # once.  The kernel itself is sampled once per grid, on the first
+        # call, so its calls per run do not grow with the steps.
+        forcing_calls, kernel_calls = [], []
+        source, compiled = gasbox.mms.MMSWave.source, gasbox.mms._compiled_source
 
-        def counting_source(ms, gas):
-            kernel = compiled(ms, gas)
-
-            def counted(x, t):
-                kernel_calls.append(t.size)
-                return kernel(x, t)
+        def counting(calls, fn):
+            def counted(*args):
+                calls.append(np.size(args[1]))
+                return fn(*args)
             return counted
 
-        monkeypatch.setattr(gasbox.mms, "_compiled_source", counting_source)
-        monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs(fault_at))
-        result = gasbox.driver.simulate(parse_config(MMS_CFG))
-        assert result.steps > 3
-        assert result.rejections == (0 if fault_at is None else 1)
-        assert len(kernel_calls) == result.steps + result.rejections + 1
-        assert kernel_calls == [1] + [2] * (result.steps + result.rejections)
+        monkeypatch.setattr(gasbox.mms.MMSWave, "source",
+                            lambda wave, gas: counting(forcing_calls, source(wave, gas)))
+        monkeypatch.setattr(gasbox.mms, "_compiled_source",
+                            lambda wave, gas: counting(kernel_calls, compiled(wave, gas)))
+        per_run = []
+        for t_end in (0.1, 0.2):
+            forcing_calls.clear()
+            kernel_calls.clear()
+            monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs(fault_at))
+            cfg = parse_config(MMS_CFG.replace("t_end = 0.1", f"t_end = {t_end}"))
+            result = gasbox.driver.simulate(cfg)
+            assert result.steps > 3
+            assert result.rejections == (0 if fault_at is None else 1)
+            assert forcing_calls == [1] + [2] * (result.steps + result.rejections)
+            per_run.append((result.steps, len(kernel_calls)))
+        (steps, kernel), (steps_2, kernel_2) = per_run
+        assert steps_2 > steps and kernel_2 == kernel
 
     @pytest.mark.parametrize("fault_at", [None, 3, 8])
     def test_k1_row_is_the_source_at_t_alone(self, monkeypatch, fault_at):
