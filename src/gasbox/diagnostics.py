@@ -28,8 +28,8 @@ from .fluxes import (
     _gradient_vector,
     _internal_energy_factor,
     _radiation_row,
+    artificial_coeff,
     convective_flux,
-    diffusion_coeffs,
     frak_p,
     physical_coeff,
 )
@@ -188,8 +188,7 @@ def shuffle_gap_and_scale(face, variant, gas):
     together with the local magnitude to normalize tolerances by.
     """
     # f^c - f^lambda as a face-local quantity (the grid spacing cancels)
-    lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
-    flux = convective_flux(face, gas) - lam * _gradient_vector(face, 1.0, gas)
+    flux = convective_flux(face, gas) - artificial_coeff(face, variant) * _gradient_vector(face, 1.0, gas)
     contraction = np.sum(delta_w(face, gas) * flux, axis=0)
     d_psi = face.momentum_jump[face.axis]
     scale = np.maximum(1.0, np.maximum(np.abs(d_psi), np.abs(contraction)))
@@ -270,7 +269,7 @@ def balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
 
     # each block holds whole lines along its axis, so the node terms it
     # writes into its view of the node arrays are complete for that axis
-    def on_block(face, index, total, coeffs):
+    def on_block(face, index, total, tilde_nu):
         nonlocal dissipation, slack
         ax = face.axis
         h = grid.spacing[ax]
@@ -280,7 +279,7 @@ def balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
                       -face.ke_bar * total[0])
         terms = (_node_difference(ke_flux, area, ax),
                  _two_face_node_sum(face.p_face * face.vel_jump[ax], area, ax),
-                 _two_face_node_sum(coeffs.tilde_nu * face.rho.bar * face.vel_jump_sq / h, area, ax))
+                 _two_face_node_sum(tilde_nu * face.rho.bar * face.vel_jump_sq / h, area, ax))
         for acc, term in zip((ke_div, pdv, dis), terms):
             acc[index] += term
             np.maximum(scale[index], np.abs(term), out=scale[index])
@@ -288,7 +287,7 @@ def balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
         ie_conv = face.normal_momentum_bar * _internal_energy_factor(face, gas)
         ie_conv_div[index] += _node_difference(ie_conv, area, ax)
 
-        ie_diff = coeffs.tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)
+        ie_diff = tilde_nu * frak_p(face, h) / (gas.gamma - 1.0)
         if gas.kappa_r != 0.0:
             ie_diff = ie_diff + _radiation_row(face, h, gas)
         ie_diff_div[index] += _node_difference(ie_diff, area, ax)

@@ -20,7 +20,6 @@ floorless sensor vanishes with the jump (formally second order).
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +27,10 @@ from .thermo import _sum_sq
 
 __all__ = [
     "LambdaVariant",
-    "DiffusionCoeffs",
     "density_jump_sensor",
     "lambda_alt_coeffs",
     "physical_coeff",
+    "artificial_coeff",
     "diffusion_coeffs",
     "convective_flux",
     "frak_p",
@@ -97,7 +96,7 @@ def lambda_alt_coeffs(face, variant, gas):
     coefficients stay nonnegative.
     """
     ax = face.axis
-    lam = diffusion_coeffs(face, 1.0, variant, gas).lambda_face
+    lam = artificial_coeff(face, variant)
     lam_a = lam - 0.25 * face.vel_jump[ax]
     # (mean - geomean)/jump == (sqrt(b) - sqrt(a)) / (2 (sqrt(b) + sqrt(a)));
     # the term is subtracted: splitting mean(rho) into geomean + difference
@@ -109,35 +108,23 @@ def lambda_alt_coeffs(face, variant, gas):
     return lam_a, lam_c
 
 
-@dataclass(frozen=True)
-class DiffusionCoeffs:
-    """Per-face diffusion coefficients: physical, artificial and combined."""
-
-    nu_face: np.ndarray
-    lambda_face: np.ndarray
-    tilde_nu: np.ndarray  # nu_face + h * lambda_face
-
-
 def physical_coeff(face, gas):
     """Physical diffusion coefficient nu = mu0 / logmean(rho) + mu1 mean(rho)."""
     return gas.mu0 / face.rho.ln + gas.mu1 * face.rho.bar
 
 
-def diffusion_coeffs(face, h_axis, variant, gas):
-    """All face diffusion coefficients of one face bundle.
-
-    lambda = |mean(u_n)| R + |jump of u_n| / 4 with R the density-jump
-    sensor; the combined coefficient is nu + h lambda.
-    """
-    nu = physical_coeff(face, gas)
+def artificial_coeff(face, variant):
+    """Artificial diffusion coefficient lambda = |mean(u_n)| R + |jump of u_n| / 4,
+    R the density-jump sensor; it enters the scheme times the grid spacing."""
     ax = face.axis
     lam = np.abs(face.vel_bar[ax]) * density_jump_sensor(face.rho, variant)
     lam += 0.25 * np.abs(face.vel_jump[ax])
-    return DiffusionCoeffs(
-        nu_face=np.asarray(nu, dtype=float),
-        lambda_face=np.asarray(lam, dtype=float),
-        tilde_nu=np.asarray(nu + h_axis * lam, dtype=float),
-    )
+    return lam
+
+
+def diffusion_coeffs(face, h_axis, variant, gas):
+    """Combined face diffusion coefficient tilde_nu = nu + h lambda."""
+    return physical_coeff(face, gas) + h_axis * artificial_coeff(face, variant)
 
 
 def _internal_energy_factor(face, gas):
@@ -194,7 +181,7 @@ def _radiation_row(face, h_axis, gas):
     return gas.kappa_r * face.T4_jump / h_axis
 
 
-def split_diffusive_flux(face, coeffs, h_axis, gas):
+def split_diffusive_flux(face, h_axis, variant, gas):
     """Diffusive flux split into its physical and artificial parts.
 
     Returns (total, nu_part, lambda_part) where the lambda part is the
@@ -202,12 +189,12 @@ def split_diffusive_flux(face, coeffs, h_axis, gas):
     uses nu and carries the radiation term, and the total is formed as
     their sum (so the decomposition is bitwise by construction).  The
     time loop does not call it: :func:`~gasbox.rhs.face_fluxes` applies
-    the combined coefficient ``tilde_nu`` to the same gradient stencil in
-    one pass, which equals the total up to a few ulp of reassociation.
+    :func:`diffusion_coeffs` to the same gradient stencil in one pass,
+    which equals the total up to a few ulp of reassociation.
     """
     grad = _gradient_vector(face, h_axis, gas)
-    lambda_part = (h_axis * coeffs.lambda_face) * grad
-    nu_part = np.multiply(coeffs.nu_face, grad, out=grad)
+    lambda_part = (h_axis * artificial_coeff(face, variant)) * grad
+    nu_part = np.multiply(physical_coeff(face, gas), grad, out=grad)
     if gas.kappa_r != 0.0:
         nu_part[4] += _radiation_row(face, h_axis, gas)
     return nu_part + lambda_part, nu_part, lambda_part

@@ -10,7 +10,7 @@ import numpy as np
 
 from .diagnostics import totals
 from .grid import build_grid
-from .mms import mms_preset
+from .mms import mms_from_initial, mms_preset
 from .rhs import apply_boundary_state
 from .thermo import PositivityError, check_admissible, conserved_from_primitives
 
@@ -105,8 +105,9 @@ def initial_condition(preset, grid, gas, **params):
 
 def check_initial(initial, grid_n, extent, gas):
     """Raise ValueError unless the preset of an ``[initial]`` block takes
-    each of its keys, its own checks accept their values and the monitors
-    of a diagnostics record of its state are finite.
+    each of its keys, its own checks accept their values, the monitors
+    of a diagnostics record of its state are finite and, for ``mms_wave``,
+    its forcing is.
 
     The preset is built on the box with three nodes per active axis of
     ``grid_n``: the centre, the walls and the corners, where the product
@@ -118,5 +119,9 @@ def check_initial(initial, grid_n, extent, gas):
     with np.errstate(all="ignore"):
         probe = build_grid(tuple(2 if n else 0 for n in grid_n), extent)
         record = totals(initial_condition(initial["preset"], probe, gas, **params), probe, gas)
-    if bad := record.nonfinite():
-        raise ValueError(f"the monitors of the initial state overflow: {', '.join(bad)} not finite")
+        if bad := record.nonfinite():
+            raise ValueError(f"the monitors of the initial state overflow: {', '.join(bad)} not finite")
+        if initial["preset"] == "mms_wave":
+            # the state above is that of t = 0, where the wave's velocity
+            # vanishes; the forcing's fit samples a whole period
+            mms_from_initial(initial).source(gas)(probe, 0.0)

@@ -124,13 +124,17 @@ def _fit(kernel, ms, gas, x):
     """Coefficients in :func:`_basis` ``(14, 4 x.size)`` of rho^2 times each
     residual and of rho^2 at ``x``, from one kernel call (at t = 0 if |omega|
     <= 1e-300, below which omega t is rounding for any t < 1e10).
+    ValueError if a sample overflows, as the wave's amplitudes then do;
     RuntimeError if a guard angle misses the kernel by more than rounding
     times the fit's conditioning (rho_max / rho_min)^2."""
     times = (_ANGLES / ms.omega if abs(ms.omega) > 1e-300 else 0.0 * _ANGLES)[:, None]
     shape = (_ANGLES.size, x.size)
     res = np.stack([np.broadcast_to(r, shape) for r in kernel(x, times)], axis=1)
     rho2 = np.broadcast_to(_compiled_state(ms, gas)(x, times)[0] ** 2, shape)[:, None]
-    samples = np.concatenate([res * rho2, rho2], axis=1)[:16].reshape(16, -1)
+    samples = np.concatenate([res * rho2, rho2], axis=1)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("the manufactured forcing overflows: a sample of its kernel is not finite")
+    samples = samples[:16].reshape(16, -1)
     coeffs = (_basis(_ANGLES[:16]) * np.r_[1.0, 1.0, np.full(12, 2.0)] / 16).T @ samples
     fitted = np.array([_rows(coeffs, ms.omega * tk) for tk in times[16:, 0]])
     miss = np.max(np.abs(fitted - res[16:]), axis=(0, 2))

@@ -93,19 +93,18 @@ def _side(prim, ix, vix):
 
 
 def face_fluxes(face, grid, gas, variant):
-    """(total face flux, diffusion coefficients) of one face bundle; the
-    total is the convective minus the diffusive flux."""
+    """(total face flux, combined diffusion coefficient tilde_nu) of one
+    face bundle; the total is the convective minus the diffusive flux."""
     h = grid.spacing[face.axis]
-    coeffs = diffusion_coeffs(face, h, variant, gas)
+    tilde_nu = diffusion_coeffs(face, h, variant, gas)
     flux = convective_flux(face, gas)
-    # one pass of the combined coefficient over the gradient stencil; the
-    # split into physical and artificial parts is for the diagnostics
+    # one pass of the combined coefficient over the gradient stencil
     diffusive = _gradient_vector(face, h, gas)
-    diffusive *= coeffs.tilde_nu
+    diffusive *= tilde_nu
     if gas.kappa_r != 0.0:
         diffusive[4] += _radiation_row(face, h, gas)
     flux -= diffusive
-    return flux, coeffs
+    return flux, tilde_nu
 
 
 def face_blocks(prim, grid):
@@ -130,7 +129,7 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
     admissible (checked by the primitive conversion unless ``prim`` hands
     in the primitives of ``u5``).  ``forcing``, an evaluated source array
     of ``u5``'s shape, is added before the wall momentum rows are frozen.
-    ``on_block(face, index, flux, coeffs)``, if given, is called for each
+    ``on_block(face, index, flux, tilde_nu)``, if given, is called for each
     block of :func:`face_blocks` with the results of :func:`face_fluxes`,
     which it must not write.
     """
@@ -140,9 +139,9 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
     tend = np.zeros_like(u5)
     for ax, left, right, (index, rows), scatter in _walk_plan(grid)[1]:
         face = face_means(ax, _side(prim, *left), _side(prim, *right))
-        flux, coeffs = face_fluxes(face, grid, gas, variant)
+        flux, tilde_nu = face_fluxes(face, grid, gas, variant)
         if on_block is not None:
-            on_block(face, index, flux, coeffs)
+            on_block(face, index, flux, tilde_nu)
         # du/dt -= (F_{i+1/2} - F_{i-1/2}) / width in place on the block's
         # nodes, the wall faces carrying no flux
         interior, first, last, above, below, w_int, w_first, w_last = scatter
@@ -152,7 +151,7 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
         block[first] -= flux[first] * w_first
         block[last] += flux[last] * w_last
         # free this block's face bundle before the next one is built
-        del face, flux, coeffs, diff
+        del face, flux, tilde_nu, diff
     if forcing is not None:
         tend += forcing
     _zero_wall_momenta(tend, grid)

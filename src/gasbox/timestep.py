@@ -13,7 +13,8 @@ A positivity fault in any stage (or in the final state) rejects the step;
 the controller retries with dt/2 up to a bounded number of times and
 aborts the run if that fails.  k1 does not depend on dt, so the controller
 evaluates it once per step, derives dt from the same primitives and face
-diffusion coefficients, and reuses k1 across rejections.
+diffusion coefficients, and reuses k1 across rejections; that first stage
+is also the only path to the step limit.
 
 A source (the manufactured-solution forcing) enters every stage the same
 way, as the forcing row of its tendency.  k1's row is the k2 row of the
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import LambdaVariant, diffusion_coeffs
-from .rhs import assemble_rhs, face_blocks
+from .fluxes import LambdaVariant
+from .rhs import assemble_rhs
 from .thermo import PositivityError, primitives_from_conserved
 
 __all__ = [
@@ -87,14 +88,12 @@ def stable_dt(u5, grid, gas, params):
     Convective limit h/(|v_n| + c) per axis with c = sqrt(gamma R T);
     diffusive limit h^2/(2 dim D) with D the largest of the combined face
     diffusion coefficients and the radiative temperature diffusivity
-    4 kappa_r T^3 / (c_v rho).
+    4 kappa_r T^3 / (c_v rho).  The limit is the one
+    :meth:`StepController.first_stage` derives for a step from ``u5``.
     """
-    prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-    tilde_nu_max = max(
-        float(np.max(diffusion_coeffs(face, grid.spacing[face.axis], params.lambda_variant,
-                                      gas).tilde_nu))
-        for face, _ in face_blocks(prim, grid))
-    return _step_limit(prim, tilde_nu_max, grid, gas, params)
+    u5 = np.asarray(u5, dtype=float)
+    prim = primitives_from_conserved(u5, gas)
+    return StepController(grid, gas, params).first_stage(u5, 0.0, prim)[1]
 
 
 def end_reached(t, t_end):
@@ -158,8 +157,8 @@ class StepController:
         both from the primitives ``prim`` of ``u`` and the same face bundles."""
         block_max = []
 
-        def on_block(face, index, flux, coeffs):
-            block_max.append(float(np.max(coeffs.tilde_nu)))
+        def on_block(face, index, flux, tilde_nu):
+            block_max.append(float(np.max(tilde_nu)))
 
         t_kept, row = self._next_row
         if t_kept != t:
@@ -167,19 +166,14 @@ class StepController:
         k1 = self._rhs(u, forcing=row, prim=prim, on_block=on_block)
         return k1, _step_limit(prim, max(block_max), self.grid, self.gas, self.params)
 
-    def attempt_step(self, u, t, dt, k1=None):
+    def attempt_step(self, u, t, dt, k1):
         """Advance one step, halving dt on positivity faults.
 
-        ``k1``, the tendency at (u, t) from :meth:`first_stage` (evaluated
-        here if not given), is not written and is reused by every retry.
-        Returns (u_new, dt_used, primitives of u_new).  Raises
-        :class:`RunAbort` when the step cannot be completed within the
-        rejection budget, :class:`PositivityError` when ``u`` is not
-        admissible.
+        ``k1``, the tendency at (u, t) from :meth:`first_stage`, is not
+        written and is reused by every retry.  Returns (u_new, dt_used,
+        primitives of u_new).  Raises :class:`RunAbort` when the step
+        cannot be completed within the rejection budget.
         """
-        if k1 is None:
-            k1, _ = self.first_stage(u, t, primitives_from_conserved(u, self.gas))
-
         def stage_rhs(u_stage, t_stage):
             return self._rhs(u_stage, forcing=rows[t_stage])
 
@@ -208,7 +202,7 @@ class StepController:
             if dt < self.params.dt_min:
                 raise RunAbort(f"step limit {dt:.3g} below dt_min = {self.params.dt_min:.3g}"
                                f" at t = {t:.6g}", t, u)
-            u, dt_used, prim = self.attempt_step(u, t, min(dt, t_end - t), k1=k1)
+            u, dt_used, prim = self.attempt_step(u, t, min(dt, t_end - t), k1)
             t += dt_used
             if on_step is not None:
                 on_step(u, t, dt_used, prim)

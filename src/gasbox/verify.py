@@ -46,9 +46,9 @@ _RHO_RANGE = (1e-3, 1e3)
 _TEMP_RANGE = (1e-3, 1e3)
 _VEL_MAX = 10.0
 
-# Pairs per face bundle in the million-pair sweep: a bundle of all pairs
-# at once would set the sweep's peak memory.
-_CHUNK = 10**5
+# Pairs per chunk of the million-pair checks, reduced one chunk at a time:
+# temporaries of all pairs at once would set the sweep's peak memory.
+_CHUNK = 1 << 15
 
 
 def _draw_states(rng, shape, gas, rho_range=_RHO_RANGE, temp_range=_TEMP_RANGE, vel_max=_VEL_MAX):
@@ -108,23 +108,43 @@ def run_verification(seed=0, fast=False):
     return True
 
 
+def _worst_of(parts):
+    """Merge the worst samples of several chunks of one check group: the
+    largest for a bound from above, the smallest for one from below (a
+    NaN in any chunk stays NaN)."""
+    return {name: float((np.max if BOUNDS[name][1] == "<=" else np.min)([part[name] for part in parts]))
+            for name in parts[0]}
+
+
 def check_means(rng, gas, n_pairs):
     """Mean algebra on pairs spanning ratios 1e-6..1e6, the sensor bounds
     and the product-average splitting identity (``gas`` is not used)."""
     a = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n_pairs))
     ratio = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n_pairs))
+    # signed pairs of the split-average identity
+    sa, sb, ta, tb = (rng.uniform(-1e3, 1e3, n_pairs) for _ in range(4))
+    return _worst_of([_means_worst(*(v[lo:lo + _CHUNK] for v in (a, ratio, sa, sb, ta, tb)))
+                      for lo in range(0, n_pairs, _CHUNK)])
+
+
+def _means_worst(a, ratio, sa, sb, ta, tb):
+    """The worst samples of :func:`check_means` on one chunk of its pairs."""
     b = a * ratio
     am, lm, gm = arith_mean(a, b), log_mean(a, b), geo_mean(a, b)
     nz = a != b
     sensor = density_jump_sensor(pair_means(a, b, np.log(a), np.log(b)), LambdaVariant.FIRST_ORDER)
     dominated = np.maximum.reduce([
-        np.full(n_pairs, 0.5),
+        np.full(a.size, 0.5),
         np.abs(b - a) / (12.0 * am),
         np.abs(np.sqrt(b) - np.sqrt(a)) / (2.0 * (np.sqrt(b) + np.sqrt(a))),
         0.5 * am * np.abs(b - a) / (a * a + a * b + b * b),
         np.abs(b - a) / lm,
     ])
-    worst = {
+    # split-average identity; scale = largest term differenced
+    scale = np.maximum.reduce([np.ones(a.size), np.abs(sa * ta), np.abs(sb * tb),
+                               np.abs(arith_mean(sa, sb) * arith_mean(ta, tb)),
+                               np.abs(0.25 * (sb - sa) * (tb - ta))])
+    return {
         "mean ordering geo <= log <= arith": float(np.max(np.maximum(gm - lm, lm - am) / am)),
         "reciprocal ordering 1/geo >= 1/log >= 1/arith":
             float(np.max(np.maximum(1 / lm - 1 / gm, 1 / am - 1 / lm) * am)),
@@ -133,19 +153,9 @@ def check_means(rng, gas, n_pairs):
         "sensor dominates 1/2": float(np.min(sensor)),
         "sensor dominates all alternative jump ratios":
             float(np.max((dominated - sensor) / np.maximum(1.0, sensor))),
+        "product-average splitting identity":
+            float(np.max(split_average_residual((sa, sb), (ta, tb)) / scale)),
     }
-
-    # split-average identity on signed pairs; scale = largest term differenced
-    sa = rng.uniform(-1e3, 1e3, n_pairs)
-    sb = rng.uniform(-1e3, 1e3, n_pairs)
-    ta = rng.uniform(-1e3, 1e3, n_pairs)
-    tb = rng.uniform(-1e3, 1e3, n_pairs)
-    scale = np.maximum.reduce([np.ones(n_pairs), np.abs(sa * ta), np.abs(sb * tb),
-                               np.abs(arith_mean(sa, sb) * arith_mean(ta, tb)),
-                               np.abs(0.25 * (sb - sa) * (tb - ta))])
-    worst["product-average splitting identity"] = float(
-        np.max(split_average_residual((sa, sb), (ta, tb)) / scale))
-    return worst
 
 
 def check_flux_consistency(rng, gas, n_states):
@@ -170,17 +180,16 @@ def check_mass_flux_coefficients(rng, gas, n_pairs):
     """Positivity of the rewritten mass-flux coefficients."""
     left = _draw_states(rng, n_pairs, gas)
     right = _draw_states(rng, n_pairs, gas)
-    worst_a = worst_c = np.inf
+    worst = []
     for lo in range(0, n_pairs, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
         faces = face_means(0, *(primitives(rho[chunk], tuple(c[chunk] for c in vel), p[chunk], gas)
                                 for rho, vel, p in (left, right)))
         for variant in LambdaVariant:
             lam_a, lam_c = lambda_alt_coeffs(faces, variant, gas)
-            worst_a = min(worst_a, float(np.min(lam_a)))
-            worst_c = min(worst_c, float(np.min(lam_c)))
-    return {"rewritten coefficient (arith form) nonnegative": worst_a,
-            "rewritten coefficient (geo form) nonnegative": worst_c}
+            worst.append({"rewritten coefficient (arith form) nonnegative": float(np.min(lam_a)),
+                          "rewritten coefficient (geo form) nonnegative": float(np.min(lam_c))})
+    return _worst_of(worst)
 
 
 def check_shuffle_gaps(rng, gas, n_pairs):

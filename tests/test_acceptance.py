@@ -25,7 +25,7 @@ from gasbox.initial import initial_condition
 from gasbox.mms import MMSWave
 from gasbox.rhs import apply_boundary_state
 from gasbox.thermo import GasParams, primitives_from_conserved
-from gasbox.timestep import SolverParams, StepController, ssprk3_step, stable_dt
+from gasbox.timestep import SolverParams, StepController, ssprk3_step
 from gasbox.verify import (
     BOUNDS,
     check_field_identities,
@@ -69,9 +69,10 @@ def conservation_run():
     vol = grid.cell_volumes
     t = 0.0
     start = time.perf_counter()
+    prim = primitives_from_conserved(u, GAS_3D)
     for _ in range(200):
-        dt = stable_dt(u, grid, GAS_3D, params)
-        u, dt_used, prim = controller.attempt_step(u, t, dt)
+        k1, dt = controller.first_stage(u, t, prim)
+        u, dt_used, prim = controller.attempt_step(u, t, dt, k1)
         t += dt_used
         records.append(totals(u, grid, GAS_3D, t=t, dt=dt_used))
         speed = np.sqrt(prim.speed_sq)

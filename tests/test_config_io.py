@@ -636,6 +636,22 @@ mode = mms
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and re.search(r"line 4: \[initial\] preset: .*n = N 0 0", err)
 
+    @pytest.mark.parametrize("initial, code, err", [
+        *((["vel_amp = " + amp], 2, r"config error: line 7: \[initial\] vel_amp: the manufactured forcing "
+           r"overflows[^\n]*\n") for amp in ("1e110", "1e120", "1e200")),
+        # rho_max / rho_min = 1999: valid, and its forcing fits (it needs a
+        # finer grid than this to run far without a positivity abort)
+        (["rho_amp = 0.999", "temp_amp = 0.999", "vel_amp = 3"], 0, ""),
+    ], ids=["vel_amp-1e110", "vel_amp-1e120", "vel_amp-1e200", "steep-wave"])
+    def test_mms_forcing_is_checked_over_a_period(self, tmp_path, capsys, initial, code, err):
+        # the wave has no velocity at t = 0, where the initial state is
+        # checked; the forcing's fit samples a whole period
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(_MMS_HEAD + initial + ["[grid]", "n = 8 0 0", "[solver]", "t_end = 1e-6",
+                                                         "[output]", f"directory = {tmp_path}"]))
+        assert main(["run", str(cfg)]) == code
+        assert re.fullmatch(err, capsys.readouterr().err)
+
     def test_huge_width_runs_without_a_warning(self, tmp_path, capsys):
         # the width's square overflows to inf, the intended flat bump
         cfg = tmp_path / "run.cfg"

@@ -3,16 +3,17 @@ import numpy as np
 import pytest
 
 from gasbox.fluxes import (
-    DiffusionCoeffs,
     LambdaVariant,
     _gradient_vector,
     _mean_logmean_jump_ratio,
     _radiation_row,
+    artificial_coeff,
     convective_flux,
     density_jump_sensor,
     diffusion_coeffs,
     frak_p,
     lambda_alt_coeffs,
+    physical_coeff,
     split_diffusive_flux,
 )
 from gasbox.means import arith_mean, log_mean, pair_means
@@ -30,8 +31,8 @@ def density_pairs(a, b):
     return pair_means(a, b, np.log(a), np.log(b))
 
 
-def lambda_face(axis, left, right, variant, gas):
-    return diffusion_coeffs(face_means(axis, left, right), 1.0, variant, gas).lambda_face
+def lambda_face(axis, left, right, variant):
+    return artificial_coeff(face_means(axis, left, right), variant)
 
 
 def random_states(rng, n, gas, vel_max=10.0):
@@ -114,23 +115,23 @@ class TestConvectiveFlux:
 class TestSensorsAndLambda:
     def test_equal_density_moving(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (2.0, 0.0, 0.0), 1.0)
-        assert lambda_face(0, left, left, LambdaVariant.FIRST_ORDER, inviscid_gas) == pytest.approx(1.0)
+        assert lambda_face(0, left, left, LambdaVariant.FIRST_ORDER) == pytest.approx(1.0)
 
     def test_rest_state(self, inviscid_gas):
         q = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         for variant in LambdaVariant:
-            assert lambda_face(0, q, q, variant, inviscid_gas) == 0.0
+            assert lambda_face(0, q, q, variant) == 0.0
 
     def test_log_density_jump_dominates_floor(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (1.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, np.e, (1.0, 0.0, 0.0), 1.0)
-        lam = lambda_face(0, left, right, LambdaVariant.FIRST_ORDER, inviscid_gas)
+        lam = lambda_face(0, left, right, LambdaVariant.FIRST_ORDER)
         assert lam == pytest.approx(1.0, rel=1e-14)  # |u|*max(1/2, 1) + 0
 
     def test_normal_component_selects_axis(self, inviscid_gas):
         left = make_states(inviscid_gas, 1.0, (2.0, 4.0, 6.0), 1.0)
         for ax, expected in zip(range(3), (1.0, 2.0, 3.0)):
-            assert lambda_face(ax, left, left, LambdaVariant.FIRST_ORDER, inviscid_gas) == pytest.approx(expected)
+            assert lambda_face(ax, left, left, LambdaVariant.FIRST_ORDER) == pytest.approx(expected)
 
     def test_floorless_sensor_vanishes_at_equal_density(self):
         assert density_jump_sensor(density_pairs(2.0, 2.0), LambdaVariant.SECOND_ORDER) == 0.0
@@ -201,7 +202,7 @@ class TestSensorsAndLambda:
         #                             = geomean(rho) mean(u) - lam_c jump(rho)
         left = random_states(rng, 10**4, inviscid_gas)
         right = random_states(rng, 10**4, inviscid_gas)
-        lam = lambda_face(0, left, right, LambdaVariant.FIRST_ORDER, inviscid_gas)
+        lam = lambda_face(0, left, right, LambdaVariant.FIRST_ORDER)
         lam_a, lam_c = lambda_alt_coeffs(face_means(0, left, right), LambdaVariant.FIRST_ORDER,
                                          inviscid_gas)
         d_rho = right.rho - left.rho
@@ -220,25 +221,33 @@ class TestDiffusionCoeffs:
     def test_equal_density(self, inviscid_gas):
         gas = GasParams(gamma=1.4, R=1.0, mu0=1.0, mu1=0.01)
         q = make_states(gas, 2.0, (0.0, 0.0, 0.0), 1.0)
-        c = diffusion_coeffs(face_means(0, q, q), 0.1, LambdaVariant.FIRST_ORDER, gas)
-        assert c.nu_face[0] == pytest.approx(0.52, rel=1e-14)
-        assert c.lambda_face[0] == 0.0
-        assert c.tilde_nu[0] == c.nu_face[0]
+        face = face_means(0, q, q)
+        nu = physical_coeff(face, gas)
+        assert nu[0] == pytest.approx(0.52, rel=1e-14)
+        assert artificial_coeff(face, LambdaVariant.FIRST_ORDER)[0] == 0.0
+        assert diffusion_coeffs(face, 0.1, LambdaVariant.FIRST_ORDER, gas)[0] == nu[0]
 
     def test_log_mean_in_rarefied_part(self):
         gas = GasParams(gamma=1.4, R=1.0, mu0=1.0, mu1=0.0)
         left = make_states(gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(gas, np.e, (0.0, 0.0, 0.0), 1.0)
-        c = diffusion_coeffs(face_means(0, left, right), 0.1, LambdaVariant.FIRST_ORDER, gas)
-        assert c.nu_face[0] == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14)
+        nu = physical_coeff(face_means(0, left, right), gas)
+        assert nu[0] == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14)
 
     def test_combined_exceeds_physical(self, rng, gas):
         left = random_states(rng, 10**4, gas)
         right = random_states(rng, 10**4, gas)
-        c = diffusion_coeffs(face_means(0, left, right), 0.05, LambdaVariant.FIRST_ORDER, gas)
-        assert np.all(c.nu_face > 0.0)
-        assert np.all(c.lambda_face >= 0.0)
-        assert np.all(c.tilde_nu >= c.nu_face)
+        face = face_means(0, left, right)
+        nu = physical_coeff(face, gas)
+        assert np.all(nu > 0.0)
+        assert np.all(artificial_coeff(face, LambdaVariant.FIRST_ORDER) >= 0.0)
+        assert np.all(diffusion_coeffs(face, 0.05, LambdaVariant.FIRST_ORDER, gas) >= nu)
+
+    @pytest.mark.parametrize("variant", list(LambdaVariant))
+    def test_combined_is_physical_plus_h_artificial(self, rng, gas, variant):
+        face = face_means(1, random_states(rng, 10**4, gas), random_states(rng, 10**4, gas))
+        expected = physical_coeff(face, gas) + 0.05 * artificial_coeff(face, variant)
+        assert np.array_equal(diffusion_coeffs(face, 0.05, variant, gas), expected)
 
 
 class TestPressureDiffusionScalar:
@@ -259,13 +268,17 @@ class TestPressureDiffusionScalar:
 
 
 class TestDiffusiveFlux:
-    def unit_coeffs(self, shape=(1,)):
-        one = np.ones(shape)
-        return DiffusionCoeffs(nu_face=one, lambda_face=np.zeros(shape), tilde_nu=one)
+    def unit_coefficient_flux(self, left, right, h):
+        """The diffusive flux over nu of states at rest (lambda = 0) and
+        without radiation: the flux at unit coefficient."""
+        gas = GasParams(gamma=1.4, R=1.0, mu0=1.0)
+        face = face_means(0, left, right)
+        total = split_diffusive_flux(face, h, LambdaVariant.FIRST_ORDER, gas)[0]
+        return total / physical_coeff(face, gas)
 
     def test_identical_cells(self, gas):
         q = make_states(gas, 1.3, (0.2, -0.1, 0.4), 0.9)
-        f = split_diffusive_flux(face_means(0, q, q), self.unit_coeffs(), 0.25, gas)[0]
+        f = split_diffusive_flux(face_means(0, q, q), 0.25, LambdaVariant.FIRST_ORDER, gas)[0]
         assert np.all(f == 0.0)
 
     def test_density_jump_energy_row(self, inviscid_gas):
@@ -273,14 +286,14 @@ class TestDiffusiveFlux:
         # mass row 1, momentum 0, energy = R T / (gamma - 1) = 2.5
         left = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, 2.0, (0.0, 0.0, 0.0), 2.0)
-        f = split_diffusive_flux(face_means(0, left, right), self.unit_coeffs(), 1.0, inviscid_gas)[0]
+        f = self.unit_coefficient_flux(left, right, 1.0)
         assert np.allclose(f[:, 0], [1.0, 0.0, 0.0, 0.0, 2.5], rtol=1e-14)
 
     def test_temperature_jump_energy_row(self, inviscid_gas):
         # rho equal, T (1, 2): energy = rho_bar R dT / (gamma - 1) = 2.5 rho_bar
         left = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(inviscid_gas, 1.0, (0.0, 0.0, 0.0), 2.0)
-        f = split_diffusive_flux(face_means(0, left, right), self.unit_coeffs(), 1.0, inviscid_gas)[0]
+        f = self.unit_coefficient_flux(left, right, 1.0)
         assert f[0, 0] == 0.0
         assert f[4, 0] == pytest.approx(2.5, rel=1e-14)
 
@@ -300,8 +313,7 @@ class TestSplitFlux:
         left = make_states(gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(gas, 2.0, (0.0, 0.0, 0.0), 2.5)
         face = face_means(0, left, right)
-        coeffs = diffusion_coeffs(face, 0.1, LambdaVariant.FIRST_ORDER, gas)
-        total, nu_part, lambda_part = split_diffusive_flux(face, coeffs, 0.1, gas)
+        total, nu_part, lambda_part = split_diffusive_flux(face, 0.1, LambdaVariant.FIRST_ORDER, gas)
         assert np.all(lambda_part == 0.0)
         assert np.array_equal(total, nu_part)
 
@@ -310,8 +322,7 @@ class TestSplitFlux:
         left = make_states(gas, 1.0, (0.0, 0.0, 0.0), 1.0)
         right = make_states(gas, 1.0, (0.0, 0.0, 0.0), 2.0)
         face = face_means(0, left, right)
-        coeffs = diffusion_coeffs(face, 0.1, LambdaVariant.FIRST_ORDER, gas)
-        total, nu_part, lambda_part = split_diffusive_flux(face, coeffs, 0.1, gas)
+        total, nu_part, lambda_part = split_diffusive_flux(face, 0.1, LambdaVariant.FIRST_ORDER, gas)
         assert np.all(lambda_part == 0.0)
         assert nu_part[4, 0] == pytest.approx(0.1 * 15.0 / 0.1, rel=1e-14)  # kappa dT^4/h
         assert np.array_equal(total, nu_part + lambda_part)
@@ -320,9 +331,11 @@ class TestSplitFlux:
         left = random_states(rng, 10**4, gas)
         right = random_states(rng, 10**4, gas)
         face = face_means(0, left, right)
-        coeffs = diffusion_coeffs(face, 0.02, LambdaVariant.FIRST_ORDER, gas)
-        total, nu_part, lambda_part = split_diffusive_flux(face, coeffs, 0.02, gas)
+        total, nu_part, lambda_part = split_diffusive_flux(face, 0.02, LambdaVariant.FIRST_ORDER, gas)
         assert np.array_equal(total, nu_part + lambda_part)
+        assert np.array_equal(nu_part[:4], physical_coeff(face, gas) * _gradient_vector(face, 0.02, gas)[:4])
+        assert np.array_equal(lambda_part, (0.02 * artificial_coeff(face, LambdaVariant.FIRST_ORDER))
+                              * _gradient_vector(face, 0.02, gas))
 
     @pytest.mark.parametrize("seed", [20240817, 1, 4])
     def test_split_matches_combined_evaluation(self, gas, seed):
@@ -330,9 +343,8 @@ class TestSplitFlux:
         left = random_states(rng, 10**4, gas)
         right = random_states(rng, 10**4, gas)
         face = face_means(0, left, right)
-        coeffs = diffusion_coeffs(face, 0.02, LambdaVariant.FIRST_ORDER, gas)
-        total, _, _ = split_diffusive_flux(face, coeffs, 0.02, gas)
-        diffusive = coeffs.tilde_nu * _gradient_vector(face, 0.02, gas)
+        total, _, _ = split_diffusive_flux(face, 0.02, LambdaVariant.FIRST_ORDER, gas)
+        diffusive = diffusion_coeffs(face, 0.02, LambdaVariant.FIRST_ORDER, gas) * _gradient_vector(face, 0.02, gas)
         radiation = _radiation_row(face, 0.02, gas)
         combined = diffusive.copy()
         combined[4] += radiation

@@ -1,7 +1,10 @@
 """The verdict of ``tools/pairs.py`` on synthetic run values (no benchmark run)."""
 
 import importlib.util
+import io
 import pathlib
+import sys
+import tarfile
 
 import pytest
 
@@ -52,3 +55,49 @@ def test_verdict(base, change, better, bound, expected):
 ])
 def test_ratio_summary(base, change, better, expected):
     assert pairs.ratio_summary(base, change, better) == expected
+
+
+END_TO_END = [("setup_s", "lower", 0.25), ("solve_s", "lower", 0.25),
+              ("node_steps_per_s", "higher", 0.25), ("peak_rss_mb", "lower", 0.1)]
+
+
+def result(scale=None):
+    """A synthetic run result; ``scale`` maps a metric to a factor on its value."""
+    scale = scale or {}
+    return {"metrics": {name: {"value": 2.0 * scale.get(name, 1.0)} for name, _, _ in END_TO_END},
+            "failed": 0}
+
+
+def test_report_returns_the_worse_metrics(capsys):
+    runs = [(result(), result({"solve_s": 1.3, "node_steps_per_s": 0.8, "peak_rss_mb": 0.5}))] * 3
+    assert pairs.report(END_TO_END, runs) == ["solve_s"]
+    assert pairs.report(END_TO_END, [(result(), result())] * 3) == []
+
+
+@pytest.mark.parametrize("trace, slower, code, closing", [
+    (0, {}, 0, ["pulse3d: no metric worse", "mms1d: no metric worse", "verify: no metric worse"]),
+    (0, {"mms1d": {"solve_s": 1.5, "peak_rss_mb": 1.2}}, 1,
+     ["pulse3d: no metric worse", "mms1d: worse: solve_s, peak_rss_mb", "verify: no metric worse"]),
+    # traced runs get no verdicts
+    (1, {"mms1d": {"solve_s": 1.5}}, 0, []),
+], ids=["none-worse", "mms1d-worse", "traced"])
+def test_main_exits_1_when_a_verdict_is_worse(monkeypatch, capsys, trace, slower, code, closing):
+    # no checkout is unpacked and no benchmark runs: git and the runs are synthetic
+    def fake_git(*args, cwd=None):
+        if args[0] != "archive":
+            return b"0123456789abcdef\n"
+        empty = io.BytesIO()
+        tarfile.open(fileobj=empty, mode="w").close()
+        return empty.getvalue()
+
+    def fake_bench(checkout, workload, seed, seconds, trace):
+        return result(slower.get(workload) if checkout == pairs.ROOT else None)
+
+    monkeypatch.setattr(pairs, "git", fake_git)
+    monkeypatch.setattr(pairs, "bench", fake_bench)
+    monkeypatch.setattr(sys, "argv", ["pairs.py", "--workload", "all", "--pairs", "3",
+                                      "--trace", str(trace)])
+    assert pairs.main() == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("pulse3d: ", "mms1d: ", "verify: "))
+            and "worse" in line] == closing

@@ -14,7 +14,9 @@ names, one table per workload gives each side's median and quartiles, the
 ratio of the medians, in how many pairs the change was better (ties count
 for neither side), whether the gap between the medians exceeds the base's
 interquartile range (what a claimed gain needs, with 9 of 10 wins), and
-the :func:`verdict` against the metric's bound.
+the :func:`verdict` against the metric's bound.  A closing line per
+workload names the metrics whose verdict is ``worse``; the exit status
+is 1 if any workload has one, else 0.
 
 With ``--trace 1`` every run is ``perfbench/run.py --trace 1`` and the
 table covers the per-layer metrics of ``BENCHMARK.json`` instead.  Traced
@@ -22,7 +24,8 @@ times are raw wall times that drift with the host from run to run, so for
 each metric it gives, besides both medians, the median and range of the
 per-pair ratios change/base (:func:`ratio_summary`): the two runs of a
 pair are back to back, so a drift slower than a pair cancels in their
-ratio.  Per-layer metrics carry no bound and get no verdict.
+ratio.  Per-layer metrics carry no bound and get no verdict, so such a
+run exits 0.
 
 The temporary copy is removed at the end, also on failure or Ctrl-C.  Nothing under
 ``perfbench/`` is edited; each side writes its outputs to its own
@@ -117,18 +120,22 @@ def layer_report(metrics, runs):
 
 def report(metrics, runs):
     """One line per metric; ``metrics`` holds (name, better, bound) and
-    ``runs`` is a list of (base, change) results."""
+    ``runs`` is a list of (base, change) results.  Returns the names of the
+    metrics whose verdict is ``"worse"``."""
     print(f"{'metric':<17} {'base median [q1, q3]':>38} {'change median [q1, q3]':>38}"
           f" {'ratio':>6} {'wins':>6} {'gap > base IQR':>14} {'verdict':>10}")
+    worse = []
     for name, better, bound in metrics:
         base = [b["metrics"][name]["value"] for b, _ in runs]
         change = [c["metrics"][name]["value"] for _, c in runs]
         wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
         (mb, q1, q3), (mc, c1, c3) = ((statistics.median(v), *quartiles(v)) for v in (base, change))
         cells = [f"{m:.5g} [{lo:.5g}, {hi:.5g}]" for m, lo, hi in ((mb, q1, q3), (mc, c1, c3))]
+        outcome = verdict(base, change, better, bound)
+        worse += [name] * (outcome == "worse")
         print(f"{name:<17} {cells[0]:>38} {cells[1]:>38} {mc / mb:>6.3f}"
-              f" {f'{wins}/{len(runs)}':>6} {str(abs(mc - mb) > q3 - q1):>14}"
-              f" {verdict(base, change, better, bound):>10}")
+              f" {f'{wins}/{len(runs)}':>6} {str(abs(mc - mb) > q3 - q1):>14} {outcome:>10}")
+    return worse
 
 
 def main():
@@ -150,6 +157,7 @@ def main():
     metrics = [(m["name"], m["better"], m["bound"]) for m in config["end_to_end"]]
     layers = [(m["name"], m["better"]) for m in config["per_layer"]]
     sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+    any_worse = False
 
     with tempfile.TemporaryDirectory(prefix="gasbox-pairs-") as tmp:
         base = pathlib.Path(tmp) / "base"
@@ -175,10 +183,12 @@ def main():
             if args.trace:
                 layer_report(layers, runs)
             else:
-                report(metrics, runs)
+                worse = report(metrics, runs)
+                any_worse |= bool(worse)
+                print(f"{workload}: worse: {', '.join(worse)}" if worse else f"{workload}: no metric worse")
             failed = [(b["failed"], c["failed"]) for b, c in runs]
             print(f"failed repetitions per pair (base, change): {failed}")
-    return 0
+    return 1 if any_worse else 0
 
 
 if __name__ == "__main__":
