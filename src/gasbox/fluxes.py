@@ -64,13 +64,11 @@ def _mean_logmean_jump_ratio(rho):
     direct formula has already lost at most ~4 digits to cancellation.
     The value is bounded by 1/2 in magnitude and has the sign of the jump.
     """
-    d_rho = rho.jump
-    zeta = d_rho / (2.0 * rho.bar)
-    z = zeta * zeta
+    _, zeta, z = rho.chain  # the log mean's, which is read below
     num = 1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0)))
-    den = 1.0 + z * (1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0))))
+    den = 1.0 + z * num  # Horner's scheme of the denominator runs through num
     out = np.asarray(0.5 * zeta * num / den)  # +0.0 at a zero jump
-    return np.divide(rho.bar - rho.ln, d_rho, out=out,
+    return np.divide(rho.bar - rho.ln, rho.jump, out=out,
                      where=np.abs(zeta) >= _RATIO_SERIES_CUTOFF)
 
 
@@ -171,8 +169,7 @@ def _gradient_vector(face, h_axis, gas):
     d_rho = np.divide(face.rho.jump, h_axis, out=out[0])
     np.divide(face.momentum_jump, h_axis, out=out[1:4])
     energy = np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=out[4])
-    # the jump of rho |v|^2 has this one reader, so it is formed here
-    energy += 0.5 * ((face.right.rho_speed_sq - face.left.rho_speed_sq) / h_axis)
+    energy += 0.5 * (face.rho_speed_sq_jump / h_axis)
     energy -= 0.25 * face.vel_jump_sq * d_rho
     return out
 

@@ -31,17 +31,18 @@ def arith_mean(a, b):
 
 
 def _log_mean(total, jump, log_jump):
-    """Log mean from a + b, b - a and log b - log a (no argument checks).
+    """Log mean from a + b, b - a and log b - log a (no argument checks),
+    returned with zeta = (b - a)/(a + b) and z = zeta^2.
 
-    Series branch (a + b) / (2 + 2 z/3 + 2 z^2/5 + 2 z^3/7) for
-    z = ((b - a)/(b + a))^2 below the cutoff, direct quotient otherwise.
+    Series branch (a + b) / (2 + 2 z/3 + 2 z^2/5 + 2 z^3/7) for z below
+    the cutoff, direct quotient otherwise.
     """
     zeta = jump / total
     z = zeta * zeta
     out = np.asarray(total / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0)))))
     # above the cutoff the pair differs by > 2%, so log_jump != 0
     np.divide(jump, log_jump, out=out, where=z >= _SERIES_CUTOFF)
-    return out
+    return out, zeta, z
 
 
 def log_mean(a, b):
@@ -63,7 +64,7 @@ def log_mean(a, b):
 
     # log(b) - log(a) rather than log(b/a): the difference of the two
     # rounded logs negates exactly under argument swap.
-    out = _log_mean(a + b, b - a, np.log(b) - np.log(a))
+    out = _log_mean(a + b, b - a, np.log(b) - np.log(a))[0]
     out = np.where(a == b, a, out)
     return float(out) if out.ndim == 0 else out
 
@@ -85,16 +86,34 @@ class _lazy:
 
 @dataclass(frozen=True)
 class PairMeans:
-    """Means of positive pairs (a, b) together with the jumps they come from."""
+    """Means of positive pairs (a, b) together with the jumps they come from.
+
+    The arrays may stack several quantities along a first axis; ``row(i)``
+    is then the pairs of quantity i, whose log mean is row i of the stack's.
+    """
 
     jump: np.ndarray      # b - a
     log_jump: np.ndarray  # log b - log a
     bar: np.ndarray       # arithmetic mean
+    stack: "PairMeans" = None  # the stacked pairs this is row ``index`` of
+    index: int = 0
+
+    @_lazy
+    def chain(self):
+        """(log mean, zeta, zeta^2) of :func:`_log_mean`, computed on first
+        read (2 bar is exactly a + b); a row reads its row of the stack's."""
+        if self.stack is None:
+            return _log_mean(2.0 * self.bar, self.jump, self.log_jump)
+        ln, zeta, z = self.stack.chain
+        return ln[self.index], zeta[self.index], z[self.index]
 
     @_lazy
     def ln(self):
-        """Logarithmic mean, computed on first read (2 bar is exactly a + b)."""
-        return _log_mean(2.0 * self.bar, self.jump, self.log_jump)
+        """Logarithmic mean, computed on first read."""
+        return self.chain[0]
+
+    def row(self, i):
+        return PairMeans(self.jump[i], self.log_jump[i], self.bar[i], self, i)
 
 
 def pair_means(a, b, log_a, log_b):

@@ -82,16 +82,6 @@ def apply_boundary_state(u5, grid):
     return out
 
 
-def _side(prim, ix, vix):
-    """Every per-node field of ``prim`` cut by ``ix`` (the stacked ones by ``vix``)."""
-    return PrimitiveFields(
-        rho=prim.rho[ix], vel=prim.vel[vix], p=prim.p[ix], T=prim.T[ix],
-        beta=prim.beta[ix], log_rho=prim.log_rho[ix], log_beta=prim.log_beta[ix],
-        inv_beta=prim.inv_beta[ix], speed_sq=prim.speed_sq[ix],
-        momenta=prim.momenta[vix], rho_speed_sq=prim.rho_speed_sq[ix],
-        T4=None if prim.T4 is None else prim.T4[ix])
-
-
 def face_fluxes(face, grid, gas, variant):
     """(total face flux, combined diffusion coefficient tilde_nu) of one
     face bundle; the total is the convective minus the diffusive flux."""
@@ -117,8 +107,17 @@ def face_blocks(prim, grid):
     axis other than ``face.axis``: it holds whole grid lines along
     ``face.axis``, and ``index[-1]`` picks its rows of ``grid.face_area``.
     """
-    for ax, left, right, (index, _), _ in _walk_plan(grid)[1]:
-        yield face_means(ax, _side(prim, *left), _side(prim, *right)), index
+    for face, (index, _), _ in _walk(prim, grid):
+        yield face, index
+
+
+def _walk(prim, grid):
+    """Per block of the plan: its face bundle, node cuts and scatter; a
+    side of a block is one cut of the node array (and of p and T)."""
+    nodes, p, T = prim.nodes, prim.p, prim.T
+    for ax, (lix, lvix), (rix, rvix), cuts, scatter in _walk_plan(grid)[1]:
+        yield (face_means(ax, PrimitiveFields(nodes[lvix], p[lix], T[lix]),
+                          PrimitiveFields(nodes[rvix], p[rix], T[rix])), cuts, scatter)
 
 
 def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None, prim=None,
@@ -136,9 +135,8 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
     u5 = np.asarray(u5, dtype=float)
     if prim is None:
         prim = primitives_from_conserved(u5, gas)
-    tend = np.zeros_like(u5)
-    for ax, left, right, (index, rows), scatter in _walk_plan(grid)[1]:
-        face = face_means(ax, _side(prim, *left), _side(prim, *right))
+    tend = np.zeros(u5.shape)
+    for face, (index, rows), scatter in _walk(prim, grid):
         flux, tilde_nu = face_fluxes(face, grid, gas, variant)
         if on_block is not None:
             on_block(face, index, flux, tilde_nu)

@@ -34,7 +34,7 @@ def write_snapshot(path, u5, t, gas):
     nx, ny, nz = u5.shape[1:]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, nx, ny, nz, float(t), gas.gamma, gas.R))
-        fh.write(u5.tobytes(order="C"))
+        fh.write(memoryview(u5).cast("B"))  # the array's own buffer, not a copy
 
 
 def read_snapshot(path):

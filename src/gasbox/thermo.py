@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .means import PairMeans, _lazy, pair_means
+from .means import PairMeans, _lazy
 
 __all__ = [
     "GasParams",
@@ -94,28 +94,46 @@ class GasParams:
         object.__setattr__(self, "c_v", self.R / (self.gamma - 1.0))
 
 
+# Rows of the node array of :class:`PrimitiveFields`, ordered so that two
+# contiguous slices cover what a face block reads: the jump rows _RHO..
+# (rho through T^4) and the sum rows .._LOG_RHO (|v|^2 through the velocity).
+_SPEED_SQ, _RHO, _BETA, _VEL, _LOG_RHO, _LOG_BETA, _INV_BETA, _MOMENTA, _RHO_SPEED_SQ, _T4 = (
+    0, 1, 2, slice(3, 6), 6, 7, 8, slice(9, 12), 12, 13)
+
+
+def _row(row):
+    index = (row, Ellipsis)  # a 0-d row of a 0-d field is still an array
+    return property(lambda self: self.nodes[index])
+
+
 @dataclass(frozen=True)
 class PrimitiveFields:
-    """Primitive view of a conserved field: arrays of identical shape.
+    """Primitive view of a conserved field.
 
-    Besides the primitive variables it carries every per-node quantity the
-    face formulas read, computed once per node: the logs feeding the face
-    log means, 1/beta, |v|^2, the momenta, rho |v|^2 and, when radiation
-    is on, T^4 (None otherwise).
+    ``nodes`` stacks, one row each, every per-node quantity the face
+    formulas read, computed once per node: the primitive variables, the
+    logs feeding the face log means, 1/beta, |v|^2, the momenta, rho |v|^2
+    and, when radiation is on, T^4.  The attributes are views of its rows
+    (``T4`` is None without radiation); p and T are arrays of their own.
     """
 
-    rho: np.ndarray
-    vel: np.ndarray  # (u, v, w) stacked, shape (3,) + rho.shape
+    nodes: np.ndarray
     p: np.ndarray
     T: np.ndarray
-    beta: np.ndarray
-    log_rho: np.ndarray
-    log_beta: np.ndarray
-    inv_beta: np.ndarray
-    speed_sq: np.ndarray
-    momenta: np.ndarray  # (rho u, rho v, rho w) stacked like vel
-    rho_speed_sq: np.ndarray
-    T4: np.ndarray  # None when kappa_r == 0
+
+    rho = _row(_RHO)
+    beta = _row(_BETA)
+    vel = _row(_VEL)  # (u, v, w) stacked, shape (3,) + rho.shape
+    speed_sq = _row(_SPEED_SQ)
+    log_rho = _row(_LOG_RHO)
+    log_beta = _row(_LOG_BETA)
+    inv_beta = _row(_INV_BETA)
+    momenta = _row(_MOMENTA)  # (rho u, rho v, rho w) stacked like vel
+    rho_speed_sq = _row(_RHO_SPEED_SQ)
+
+    @property
+    def T4(self):
+        return self.nodes[_T4, ...] if len(self.nodes) > _T4 else None
 
 
 def _first_bad_index(mask):
@@ -131,34 +149,44 @@ def _require_admissible(quantity, values):
         raise PositivityError(quantity, idx, float(values[idx]))
 
 
-def _temperature_beta(rho, p, gas):
-    """T and beta at admissible densities ``rho``; p, T and beta are checked."""
+def _temperature_beta(rho, p, gas, beta=None):
+    """T and beta (written into ``beta`` if given) at admissible densities
+    ``rho``; p, T and beta are checked."""
     _require_admissible("pressure", p)
     T = p / (rho * gas.R)
-    beta = rho / (2.0 * p)
+    beta = np.divide(rho, 2.0 * p, out=beta)
     _require_admissible("temperature", T)
     _require_admissible("beta", beta)
     return T, beta
 
 
-def _fields(rho, vel, speed_sq, p, gas):
-    T, beta = _temperature_beta(rho, p, gas)
-    return PrimitiveFields(
-        rho=rho, vel=vel, p=p, T=T, beta=beta,
-        log_rho=np.log(rho),
-        log_beta=np.log(beta),
-        inv_beta=1.0 / beta,
-        speed_sq=speed_sq,
-        momenta=rho * vel,
-        rho_speed_sq=rho * speed_sq,
-        T4=T ** 4 if gas.kappa_r != 0.0 else None,
-    )
+def _node_array(rho, gas):
+    """An empty node array for densities ``rho``, holding rho already."""
+    nodes = np.empty((_T4 + (gas.kappa_r != 0.0),) + rho.shape)
+    nodes[_RHO] = rho
+    return nodes
 
 
-def _sum_sq(vec):
+def _fields(nodes, p, gas):
+    """Fill the rows of ``nodes`` that follow from its rho, velocity and
+    |v|^2 rows and the pressure ``p``; p, T and beta are checked."""
+    rho = nodes[_RHO, ...]
+    T, beta = _temperature_beta(rho, p, gas, beta=nodes[_BETA, ...])
+    np.log(nodes[_RHO:_BETA + 1], out=nodes[_LOG_RHO:_LOG_BETA + 1])
+    np.divide(1.0, beta, out=nodes[_INV_BETA, ...])
+    np.multiply(rho, nodes[_VEL], out=nodes[_MOMENTA])
+    np.multiply(rho, nodes[_SPEED_SQ, ...], out=nodes[_RHO_SPEED_SQ, ...])
+    if gas.kappa_r != 0.0:
+        nodes[_T4] = T ** 4  # not np.power(out=): a 0-d T is a scalar, whose power differs
+    return PrimitiveFields(nodes, p, T)
+
+
+def _sum_sq(vec, out=None):
     """|vec|^2 of a stacked (3, ...) vector field, summed in the order x, y, z."""
     sq = vec * vec
-    return sq[0] + sq[1] + sq[2]
+    out = np.add(sq[0], sq[1], out=out)
+    out += sq[2]
+    return out
 
 
 def primitives_from_conserved(u5, gas):
@@ -172,10 +200,11 @@ def primitives_from_conserved(u5, gas):
     u5 = np.asarray(u5, dtype=float)
     rho = u5[0]
     _require_admissible("density", rho)
-    vel = u5[1:4] / rho
-    speed_sq = _sum_sq(vel)
+    nodes = _node_array(rho, gas)
+    vel = np.divide(u5[1:4], rho, out=nodes[_VEL])
+    speed_sq = _sum_sq(vel, out=nodes[_SPEED_SQ, ...])
     p = (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq)
-    return _fields(rho, vel, speed_sq, p, gas)
+    return _fields(nodes, p, gas)
 
 
 def check_admissible(rho, p, gas):
@@ -189,10 +218,13 @@ def check_admissible(rho, p, gas):
 def primitives(rho, vel, p, gas):
     """Build :class:`PrimitiveFields` directly from rho, velocity and pressure."""
     rho = np.asarray(rho, dtype=float)
-    vel = np.stack([np.broadcast_to(np.asarray(c, dtype=float), rho.shape) for c in vel])
+    vel = [np.broadcast_to(np.asarray(c, dtype=float), rho.shape) for c in vel]
     p = np.asarray(p, dtype=float)
     _require_admissible("density", rho)
-    return _fields(rho, vel, _sum_sq(vel), p, gas)
+    nodes = _node_array(rho, gas)
+    nodes[_VEL] = vel
+    _sum_sq(nodes[_VEL], out=nodes[_SPEED_SQ, ...])
+    return _fields(nodes, p, gas)
 
 
 @dataclass(frozen=True)
@@ -200,21 +232,25 @@ class FaceState:
     """The face bundle of one set of faces normal to ``axis``: the only
     place a jump or a mean of the two sides of a face is formed.
 
-    The fields hold what every face walk reads; the lazy attributes, like
-    the log means of :class:`~gasbox.means.PairMeans`, hold what only some
-    walks read and are computed on first read.
+    The fields are rows of one jump array and one mean array, or formed
+    from them; the lazy attributes, like the log means of
+    :class:`~gasbox.means.PairMeans`, hold what only some walks read and
+    are computed on first read.
     """
 
     axis: int
     left: PrimitiveFields
     right: PrimitiveFields
-    rho: PairMeans
+    rho: PairMeans  # rows of one stacked pair, so both log means are one chain
     beta: PairMeans
     vel_bar: np.ndarray  # stacked (3, ...) like PrimitiveFields.vel
     vel_jump: np.ndarray
     vel_jump_sq: np.ndarray  # |jump v|^2
     inv_beta_jump: np.ndarray
+    momentum_jump: np.ndarray  # stacked like vel_jump
+    rho_speed_sq_jump: np.ndarray
     T4_jump: np.ndarray  # None when kappa_r == 0
+    ke_bar: np.ndarray  # mean(|v|^2 / 2), the specific kinetic energy
     p_face: np.ndarray  # mean(rho) / (2 mean(beta))
 
     @_lazy
@@ -222,30 +258,36 @@ class FaceState:
         return 1.0 / self.beta.ln
 
     @_lazy
-    def ke_bar(self):  # mean(|v|^2 / 2), the specific kinetic energy
-        return 0.25 * (self.left.speed_sq + self.right.speed_sq)
-
-    @_lazy
     def normal_momentum_bar(self):  # mean(rho u_n), the convective mass flux
         return 0.5 * (self.left.momenta[self.axis] + self.right.momenta[self.axis])
 
-    @_lazy
-    def momentum_jump(self):
-        return self.right.momenta - self.left.momenta
-
 
 def face_means(axis, left, right):
-    """Build the :class:`FaceState` of faces with ``left``/``right`` states."""
-    rho = pair_means(left.rho, right.rho, left.log_rho, right.log_rho)
-    beta = pair_means(left.beta, right.beta, left.log_beta, right.log_beta)
-    vel_jump = right.vel - left.vel
+    """Build the :class:`FaceState` of faces with ``left``/``right`` states.
+
+    Every jump is one subtract over the jump rows of the two node arrays,
+    every mean one add over their sum rows.
+    """
+    lnodes, rnodes = left.nodes, right.nodes
+    jump = np.empty_like(rnodes)  # row _SPEED_SQ is not a jump row and stays unset
+    np.subtract(rnodes[_RHO:], lnodes[_RHO:], out=jump[_RHO:])
+    bar = np.add(lnodes[:_LOG_RHO], rnodes[:_LOG_RHO])
+    ke_bar = 0.25 * bar[_SPEED_SQ]
+    bar[_RHO:] *= 0.5
+    pair = PairMeans(jump=jump[_RHO:_BETA + 1], log_jump=jump[_LOG_RHO:_LOG_BETA + 1],
+                     bar=bar[_RHO:_BETA + 1])
+    rho, beta = pair.row(0), pair.row(1)
+    vel_jump = jump[_VEL]
     return FaceState(
         axis=axis, left=left, right=right, rho=rho, beta=beta,
-        vel_bar=0.5 * (left.vel + right.vel),
+        vel_bar=bar[_VEL],
         vel_jump=vel_jump,
         vel_jump_sq=_sum_sq(vel_jump),
-        inv_beta_jump=right.inv_beta - left.inv_beta,
-        T4_jump=None if left.T4 is None else right.T4 - left.T4,
+        inv_beta_jump=jump[_INV_BETA],
+        momentum_jump=jump[_MOMENTA],
+        rho_speed_sq_jump=jump[_RHO_SPEED_SQ],
+        T4_jump=jump[_T4] if len(jump) > _T4 else None,
+        ke_bar=ke_bar,
         p_face=rho.bar / (2.0 * beta.bar),
     )
 

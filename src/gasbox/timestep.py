@@ -171,8 +171,9 @@ class StepController:
 
         ``k1``, the tendency at (u, t) from :meth:`first_stage`, is not
         written and is reused by every retry.  Returns (u_new, dt_used,
-        primitives of u_new).  Raises :class:`RunAbort` when the step
-        cannot be completed within the rejection budget.
+        primitives of u_new).  Raises :class:`RunAbort`, naming the last
+        :class:`PositivityError` (its cause), when the step cannot be
+        completed within the rejection budget.
         """
         def stage_rhs(u_stage, t_stage):
             return self._rhs(u_stage, forcing=rows[t_stage])
@@ -183,12 +184,14 @@ class StepController:
                 u_new = ssprk3_step(u, dt, t, stage_rhs, k1=k1)
                 self._next_row = (t + dt, rows[t + dt])
                 return u_new, dt, primitives_from_conserved(u_new, self.gas)
-            except PositivityError:
+            except PositivityError as err:
+                error = err
                 self.rejections += 1
                 dt *= 0.5
                 if dt < self.params.dt_min:
                     break
-        raise RunAbort(f"positivity could not be restored at t = {t:.6g}", t, u)
+        raise RunAbort(f"positivity could not be restored at t = {t:.6g}: last rejection: {error}",
+                       t, u) from error
 
     def advance(self, u, t, t_end, on_step=None):
         """Run to t_end; ``on_step(u, t, dt, prim)`` fires after each accepted

@@ -312,6 +312,20 @@ class TestSnapshot:
         assert meta["gamma"] == gas.gamma
         assert meta["shape"] == g.shape
 
+    def test_file_is_header_and_field_bytes(self, tmp_path, rng, gas):
+        # the field is written from its own buffer: the bytes are those of
+        # the C-ordered little-endian copy, also for a strided or big-endian input
+        from gasbox.snapshot import _HEADER, MAGIC, VERSION
+
+        g = build_grid((4, 3, 2))
+        u5 = rng.normal(size=(5,) + g.shape)
+        for field in (u5, np.asfortranarray(u5), u5.astype(">f8"), u5[:, ::-1]):
+            path = tmp_path / "field.snap"
+            write_snapshot(path, field, 0.125, gas)
+            expected = np.ascontiguousarray(field, dtype="<f8").tobytes()
+            header = _HEADER.pack(MAGIC, VERSION, *g.shape, 0.125, gas.gamma, gas.R)
+            assert path.read_bytes() == header + expected
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.snap"
         path.write_bytes(b"NOTASNAP" + b"\x00" * 64)

@@ -310,3 +310,46 @@ class TestFaceFluxes:
         expected = convective_flux(face, gas) - diffusive
         assert np.array_equal(flux, expected)
         assert np.array_equal(tilde_nu, diffusion_coeffs(face, h, variant, gas))
+
+
+class TestUfuncBudget:
+    # Counted numpy work of the hot path (README "Performance"): every ufunc
+    # call is one pass of numpy's dispatch, which costs more than its
+    # arithmetic on a 1D grid of 256 faces, and every element of a call is
+    # one elementwise pass, which is what the 3D tendency pays for.  The
+    # counts are exact; a change that moves one updates the pin and the
+    # README together.
+    GAS = GasParams(gamma=1.4, R=1.0, mu0=0.01, mu1=1e-4, kappa_r=1e-6)
+
+    def _field(self, n):
+        grid = build_grid(n)
+        u5 = random_admissible_field(np.random.default_rng(3), grid, self.GAS, rho_range=(0.5, 2.0),
+                                     temp_range=(0.5, 2.0), vel_max=0.5)
+        return grid, u5
+
+    @staticmethod
+    def _calls(tally):
+        return sum(calls for calls, _ in tally.values())
+
+    def test_conversion_calls(self, count_ufuncs):
+        _, u5 = self._field((256, 0, 0))
+        prim, tally = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        assert self._calls(tally) == 25, tally
+        assert np.array_equal(prim.nodes, primitives_from_conserved(u5, self.GAS).nodes)
+
+    def test_1d_tendency_calls(self, count_ufuncs):
+        # the mms1d set-up: N = 256, the second-order sensor, radiation on
+        grid, u5 = self._field((256, 0, 0))
+        variant = LambdaVariant.SECOND_ORDER
+        prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        tend, tally = count_ufuncs(assemble_rhs, u5, grid, self.GAS, variant, prim=prim)
+        assert self._calls(tally) == 90, tally
+        assert tend.tobytes() == assemble_rhs(u5, grid, self.GAS, variant).tobytes()
+
+    def test_3d_tendency_passes_per_face(self, count_ufuncs):
+        grid, u5 = self._field((16, 16, 16))
+        prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        tend, tally = count_ufuncs(assemble_rhs, u5, grid, self.GAS, prim=prim)
+        faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
+        assert sum(elements for _, elements in tally.values()) / faces == 131.3125, tally
+        assert tend.tobytes() == assemble_rhs(u5, grid, self.GAS, prim=prim).tobytes()

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gasbox.fluxes import LambdaVariant, density_jump_sensor
 from gasbox.thermo import (
     GasParams,
     PositivityError,
     _require_admissible,
+    check_admissible,
     conserved_from_primitives,
     delta_w,
     entropy_function,
@@ -168,6 +170,212 @@ class TestStackedVectorFields:
             assert face.vel_jump[c].tobytes() == (converted.vel[c] - vel[c]).tobytes()
         d = face.vel_jump
         assert face.vel_jump_sq.tobytes() == (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).tobytes()
+
+
+def _reference_require(quantity, values):
+    if not (values.min() > 0.0 and values.max() < np.inf):
+        idx = tuple(int(i) for i in np.argwhere(~((values > 0.0) & (values < np.inf)))[0])
+        raise PositivityError(quantity, idx, float(values[idx]))
+
+
+def _reference_fields(rho, vel, speed_sq, p, gas):
+    """The per-node fields as 85d412b formed them, one array per quantity."""
+    _reference_require("pressure", p)
+    T = p / (rho * gas.R)
+    beta = rho / (2.0 * p)
+    _reference_require("temperature", T)
+    _reference_require("beta", beta)
+    return dict(rho=rho, vel=vel, p=p, T=T, beta=beta, log_rho=np.log(rho), log_beta=np.log(beta),
+                inv_beta=1.0 / beta, speed_sq=speed_sq, momenta=rho * vel, rho_speed_sq=rho * speed_sq,
+                T4=T ** 4 if gas.kappa_r != 0.0 else None)
+
+
+def _reference_sum_sq(vec):
+    sq = vec * vec
+    return sq[0] + sq[1] + sq[2]
+
+
+def _reference_from_conserved(u5, gas):
+    rho = u5[0]
+    _reference_require("density", rho)
+    vel = u5[1:4] / rho
+    speed_sq = _reference_sum_sq(vel)
+    return _reference_fields(rho, vel, speed_sq, (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq), gas)
+
+
+def _reference_primitives(rho, vel, p, gas):
+    vel = np.stack([np.broadcast_to(c, rho.shape) for c in vel])
+    _reference_require("density", rho)
+    return _reference_fields(rho, vel, _reference_sum_sq(vel), p, gas)
+
+
+def _reference_log_mean(total, jump, log_jump):
+    zeta = jump / total
+    z = zeta * zeta
+    out = np.asarray(total / (2.0 + z * (2.0 / 3.0 + z * (2.0 / 5.0 + z * (2.0 / 7.0)))))
+    np.divide(jump, log_jump, out=out, where=z >= 1.0e-4)
+    return out, zeta, z
+
+
+def _reference_pair(a, b, log_a, log_b):
+    bar = 0.5 * (a + b)
+    jump = b - a
+    log_jump = log_b - log_a
+    ln, zeta, z = _reference_log_mean(2.0 * bar, jump, log_jump)
+    return dict(jump=jump, log_jump=log_jump, bar=bar, ln=ln, chain=(ln, zeta, z))
+
+
+def _reference_face(axis, left, right):
+    """The face bundle as 85d412b's ``face_means`` and its lazy fields formed it."""
+    rho = _reference_pair(left["rho"], right["rho"], left["log_rho"], right["log_rho"])
+    beta = _reference_pair(left["beta"], right["beta"], left["log_beta"], right["log_beta"])
+    vel_jump = right["vel"] - left["vel"]
+    return dict(
+        rho=rho, beta=beta,
+        vel_bar=0.5 * (left["vel"] + right["vel"]),
+        vel_jump=vel_jump,
+        vel_jump_sq=_reference_sum_sq(vel_jump),
+        inv_beta_jump=right["inv_beta"] - left["inv_beta"],
+        T4_jump=None if left["T4"] is None else right["T4"] - left["T4"],
+        p_face=rho["bar"] / (2.0 * beta["bar"]),
+        inv_log_mean_beta=1.0 / beta["ln"],
+        ke_bar=0.25 * (left["speed_sq"] + right["speed_sq"]),
+        normal_momentum_bar=0.5 * (left["momenta"][axis] + right["momenta"][axis]),
+        momentum_jump=right["momenta"] - left["momenta"],
+        rho_speed_sq_jump=right["rho_speed_sq"] - left["rho_speed_sq"],
+    )
+
+
+def _reference_sensor(rho, variant):
+    dlog = np.abs(rho["log_jump"])
+    if variant is LambdaVariant.FIRST_ORDER:
+        return np.maximum(0.5, dlog)
+    zeta = rho["jump"] / (2.0 * rho["bar"])
+    z = zeta * zeta
+    num = 1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0)))
+    den = 1.0 + z * (1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0))))
+    out = np.asarray(0.5 * zeta * num / den)
+    ratio = np.divide(rho["bar"] - rho["ln"], rho["jump"], out=out, where=np.abs(zeta) >= 1.0e-2)
+    return np.maximum(np.abs(ratio), dlog)
+
+
+def _same_bits(new, ref):
+    if ref is None:
+        return new is None
+    return np.shape(new) == np.shape(ref) and np.asarray(new).tobytes() == np.asarray(ref).tobytes()
+
+
+class TestStackedNodeArray:
+    # every attribute read from the stacked node array and the face bundle
+    # built from it is bitwise the per-quantity array of 85d412b, on 0-3D
+    # fields, with and without radiation, for both sensors; an inadmissible
+    # field raises the same PositivityError (quantity, cell and value)
+    FIELDS = ("rho", "vel", "p", "T", "beta", "log_rho", "log_beta", "inv_beta", "speed_sq",
+              "momenta", "rho_speed_sq", "T4")
+
+    def test_gate_passes_states_whose_extremes_lie_600_decades_apart(self, gas):
+        # rho and p span 600 decades, but T = 1 and beta = 1/2 at every node:
+        # the gate passes them, and the rows are the reference's
+        rho = np.array([1e-300, 1.0, 1e300])
+        vel = (0.0 * rho,) * 3
+        u5 = conserved_from_primitives(rho, vel, rho, gas)
+        for prim, ref in (self._convert(primitives_from_conserved, _reference_from_conserved, u5, gas),
+                          self._convert(primitives, _reference_primitives, rho, vel, rho, gas)):
+            for name in self.FIELDS:
+                assert _same_bits(getattr(prim, name), ref[name]), name
+            assert np.all(prim.T == 1.0)
+
+    @pytest.mark.parametrize("r_gas, rho_value", [(1e-300, 1e-30), (0.5, 5e-324)])
+    def test_vanishing_rho_times_gas_constant_is_a_temperature_fault(self, r_gas, rho_value):
+        # rho R rounds to 0 at every node, so T = p/0 = inf: both conversions
+        # raise the reference's PositivityError, and nothing else
+        gas = GasParams(gamma=1.4, R=r_gas)
+        rho, p = np.full(4, rho_value), np.ones(4)
+        vel = (0.0 * rho,) * 3
+        u5 = conserved_from_primitives(rho, vel, p, gas)
+        with np.errstate(divide="ignore"):
+            assert self._convert(primitives_from_conserved, _reference_from_conserved, u5, gas) is None
+            assert self._convert(primitives, _reference_primitives, rho, vel, p, gas) is None
+        with pytest.raises(PositivityError, match="temperature"), np.errstate(divide="ignore"):
+            check_admissible(rho, p, gas)
+
+    @staticmethod
+    def _convert(fn, ref_fn, *args):
+        """``(new, reference)`` of one conversion, or None after checking
+        that both raise the same :class:`PositivityError`."""
+        try:
+            ref = ref_fn(*args)
+        except PositivityError as expected:
+            with pytest.raises(PositivityError) as err:
+                fn(*args)
+            assert (err.value.quantity, err.value.index) == (expected.quantity, expected.index)
+            assert _same_bits(err.value.value, expected.value)
+            return None
+        return fn(*args), ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5),
+           seed=st.integers(0, 2**32 - 1), kappa_r=st.sampled_from([0.0, 1e-6]),
+           jump_scale=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]), axis=st.integers(0, 2),
+           r_gas=st.sampled_from([1.0, 1e30, 1e-300]),
+           defect=st.sampled_from([None, {0: -1.0}, {0: np.nan}, {0: 0.0}, {4: -1.0}, {4: np.inf},
+                                   {4: 1e300}, {1: np.inf},
+                                   # T overflows (at R = 1 also with the second)
+                                   {0: 1e-310, 1: 0.0, 2: 0.0, 3: 0.0},
+                                   # beta underflows to 0
+                                   {0: 1e-300, 1: 0.0, 2: 0.0, 3: 0.0, 4: 2.5e30}]))
+    def test_rows_equal_the_per_quantity_arrays(self, shape, seed, kappa_r, jump_scale, axis, r_gas,
+                                                defect):
+        gas = GasParams(gamma=1.4, R=r_gas, mu0=0.01, mu1=1e-4, kappa_r=kappa_r)
+        rng = np.random.default_rng(seed)
+        rho = np.array(np.exp(rng.uniform(-3.0, 3.0, shape)))  # arrays also when 0-d
+        p = np.array(np.exp(rng.uniform(-3.0, 3.0, shape)))
+        vel = tuple(np.array(rng.uniform(-10.0, 10.0, shape)) for _ in range(3))
+        # the right states are near the left ones, down to equal at scale 0,
+        # so both branches of the log mean and of the sensor ratio are taken
+        near = [np.array(x * np.exp(jump_scale * rng.normal(size=shape))) for x in (rho, p)]
+        sides = []
+        for r, pr in ((rho, p), near):
+            u5 = conserved_from_primitives(r, vel, pr, gas)
+            v = vel
+            if defect is not None and sides:
+                # the right side gets the defect: in the conserved array, and
+                # in the density, velocity or pressure handed to primitives
+                cell = np.unravel_index(seed % u5[0].size, shape)
+                r, pr, v = r.copy(), pr.copy(), tuple(c.copy() for c in vel)
+                for component, value in defect.items():
+                    u5[(component,) + cell] = value
+                    (r, *v, pr)[component][cell] = value
+            with np.errstate(all="ignore"):  # the defects overflow or divide by zero
+                converted = self._convert(primitives_from_conserved, _reference_from_conserved, u5, gas)
+                built = self._convert(primitives, _reference_primitives, r, v, pr, gas)
+            if converted is None or built is None:
+                return
+            for prim, ref in (converted, built):
+                for name in self.FIELDS:
+                    assert _same_bits(getattr(prim, name), ref[name]), name
+            sides.append(converted)
+
+        (left, left_ref), (right, right_ref) = sides
+        with np.errstate(all="ignore"):  # equal pairs divide 0 by 0 off the series branch
+            face = face_means(axis, left, right)
+            ref = _reference_face(axis, left_ref, right_ref)
+            for name, value in ref.items():
+                if isinstance(value, dict):
+                    pair = getattr(face, name)
+                    for attr, pair_value in value.items():
+                        if attr == "chain":
+                            assert all(_same_bits(a, b) for a, b in zip(pair.chain, pair_value)), name
+                        else:
+                            assert _same_bits(getattr(pair, attr), pair_value), (name, attr)
+                else:
+                    assert _same_bits(getattr(face, name), value), name
+            for side, side_ref in ((face.left, left_ref), (face.right, right_ref)):
+                for name in self.FIELDS:
+                    assert _same_bits(getattr(side, name), side_ref[name]), name
+            for variant in LambdaVariant:
+                assert _same_bits(density_jump_sensor(face.rho, variant),
+                                  _reference_sensor(ref["rho"], variant)), variant
 
 
 class TestEntropyQuantities:

@@ -176,6 +176,13 @@ class TestStepController:
         with pytest.raises(RunAbort) as err:
             first_attempt(ctrl, u0, big)
         assert err.value.state is u0
+        # the abort names what failed: the quantity, cell and value of the
+        # last rejection, which it carries as its cause
+        cause = err.value.__cause__
+        assert isinstance(cause, PositivityError)
+        assert str(err.value).endswith(f"last rejection: inadmissible {cause.quantity} = "
+                                       f"{cause.value:.6g} at cell {cause.index}"
+                                       " (must be positive and finite)")
 
     def test_advance_hits_end_time(self, gas):
         g = build_grid((8, 0, 0))
