@@ -68,17 +68,12 @@ class Grid:
     def face_area(self, axis):
         return (self.face_area_x, self.face_area_y, self.face_area_z)[axis]
 
-    def width_along(self, axis):
-        """Dual widths broadcast against full node arrays along ``axis``."""
-        w = self.widths[axis]
-        shape = [1, 1, 1]
-        shape[axis] = w.size
-        return w.reshape(shape)
-
     @cached_property
     def inv_widths(self):
-        """Per axis, 1 / :meth:`width_along`; computed once per grid."""
-        out = tuple(1.0 / self.width_along(ax) for ax in range(3))
+        """Per axis, 1 / the dual widths, broadcast against full node arrays
+        along that axis; computed once per grid."""
+        out = tuple(1.0 / w.reshape([-1 if a == ax else 1 for a in range(3)])
+                    for ax, w in enumerate(self.widths))
         for a in out:
             a.setflags(write=False)
         return out

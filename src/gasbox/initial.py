@@ -12,7 +12,7 @@ from .diagnostics import totals
 from .grid import build_grid
 from .mms import mms_from_initial, mms_preset
 from .rhs import apply_boundary_state
-from .thermo import PositivityError, check_admissible, conserved_from_primitives
+from .thermo import PositivityError, conserved_from_primitives, primitives_from_conserved
 
 __all__ = ["initial_condition", "check_initial", "PRESETS"]
 
@@ -83,7 +83,7 @@ def initial_condition(preset, grid, gas, **params):
     """Build the conserved initial field for a named preset.
 
     Raises ValueError for unknown presets or parameters that would make
-    the state inadmissible (:func:`~gasbox.thermo.check_admissible`).
+    the state inadmissible (:func:`~gasbox.thermo.primitives_from_conserved`).
     """
     try:
         builder = PRESETS[preset]
@@ -95,9 +95,8 @@ def initial_condition(preset, grid, gas, **params):
     except TypeError as exc:
         raise ValueError(f"bad parameters for preset {preset!r}: {exc}") from None
     u5 = apply_boundary_state(u5, grid)
-    kinetic = 0.5 * (u5[1] ** 2 + u5[2] ** 2 + u5[3] ** 2) / u5[0]
     try:
-        check_admissible(u5[0], (gas.gamma - 1.0) * (u5[4] - kinetic), gas)
+        primitives_from_conserved(u5, gas)
     except PositivityError as exc:
         raise ValueError(f"nonpositive or non-finite initial state: {exc}") from None
     return u5

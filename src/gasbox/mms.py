@@ -59,24 +59,19 @@ class MMSWave:
         return conserved_from_primitives(rho, (u, zero, zero), rho * gas.R * temp, gas)
 
     def source(self, gas):
-        """Forcing callable ``forcing(grid, t)`` for the tendency.
-
-        A scalar ``t`` gives ``(5,) + grid.shape``, k times ``(k, 5) + grid.shape``.
-        After the fit on a grid's first call, each row is one matrix-vector
-        product and one division of its own: bitwise the call at its time alone.
-        """
+        """Forcing callable ``forcing(grid, t)`` for the tendency: the rows
+        ``(5,) + grid.shape`` at the time ``t``.  After the fit on a grid's
+        first call, a call is one matrix-vector product and one division."""
         kernel = _compiled_source(self, gas)
         fits = {}  # id(grid) -> (grid, its fit); holding the grid keeps its id
 
         def forcing(grid, t):
             if id(grid) not in fits:
                 fits[id(grid)] = grid, _fit(kernel, self, gas, grid.nodes[0])
-            coeffs = fits[id(grid)][1]
-            times = np.asarray(t, dtype=float)
-            out = np.zeros((times.size, 5) + grid.shape)
-            for k, tk in enumerate(times.flat):
-                out[k, (0, 1, 4)] = _rows(coeffs, self.omega * tk).reshape(3, -1, 1, 1)
-            return out.reshape(times.shape + (5,) + grid.shape)
+            rows = _rows(fits[id(grid)][1], self.omega * t).reshape(3, -1, 1, 1)
+            out = np.zeros((5,) + grid.shape)
+            out[:2], out[4] = rows[:2], rows[2]  # slices: cheaper than out[[0, 1, 4]]
+            return out
 
         return forcing
 
@@ -96,10 +91,14 @@ def mms_from_initial(params):
 
 def mms_preset(grid, gas, **params):
     """The ``mms_wave`` preset at t = 0.  The wave varies along x and is no-slip only
-    at the x walls, so any grid but n = N 0 0 raises ValueError, before sympy runs."""
+    at its walls x = 0 and x = ``length``, so any grid but n = N 0 0, and any box
+    whose x extent is not that length, raises ValueError, before sympy runs."""
     wave = mms_from_initial(params)
     if grid.active_axes != (0,):
         raise ValueError(f"preset mms_wave needs the grid n = N 0 0, got active axes {grid.active_axes}")
+    if grid.extent[0] != wave.length:
+        raise ValueError(f"preset mms_wave needs the box extent {wave.length:g} along x, "
+                         f"the wave's length, got extent {grid.extent[0]:g}")
     return wave.conserved(grid, 0.0, gas)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "FaceState",
     "primitives",
     "primitives_from_conserved",
-    "check_admissible",
     "face_means",
     "conserved_from_primitives",
     "specific_entropy",
@@ -149,17 +148,6 @@ def _require_admissible(quantity, values):
         raise PositivityError(quantity, idx, float(values[idx]))
 
 
-def _temperature_beta(rho, p, gas, beta=None):
-    """T and beta (written into ``beta`` if given) at admissible densities
-    ``rho``; p, T and beta are checked."""
-    _require_admissible("pressure", p)
-    T = p / (rho * gas.R)
-    beta = np.divide(rho, 2.0 * p, out=beta)
-    _require_admissible("temperature", T)
-    _require_admissible("beta", beta)
-    return T, beta
-
-
 def _node_array(rho, gas):
     """An empty node array for densities ``rho``, holding rho already."""
     nodes = np.empty((_T4 + (gas.kappa_r != 0.0),) + rho.shape)
@@ -171,7 +159,11 @@ def _fields(nodes, p, gas):
     """Fill the rows of ``nodes`` that follow from its rho, velocity and
     |v|^2 rows and the pressure ``p``; p, T and beta are checked."""
     rho = nodes[_RHO, ...]
-    T, beta = _temperature_beta(rho, p, gas, beta=nodes[_BETA, ...])
+    _require_admissible("pressure", p)
+    T = p / (rho * gas.R)
+    beta = np.divide(rho, 2.0 * p, out=nodes[_BETA, ...])
+    _require_admissible("temperature", T)
+    _require_admissible("beta", beta)
     np.log(nodes[_RHO:_BETA + 1], out=nodes[_LOG_RHO:_LOG_BETA + 1])
     np.divide(1.0, beta, out=nodes[_INV_BETA, ...])
     np.multiply(rho, nodes[_VEL], out=nodes[_MOMENTA])
@@ -205,14 +197,6 @@ def primitives_from_conserved(u5, gas):
     speed_sq = _sum_sq(vel, out=nodes[_SPEED_SQ, ...])
     p = (gas.gamma - 1.0) * (u5[4] - 0.5 * rho * speed_sq)
     return _fields(nodes, p, gas)
-
-
-def check_admissible(rho, p, gas):
-    """Raise :class:`PositivityError` unless density, pressure, temperature
-    and beta are positive and finite everywhere: the rule of
-    :func:`primitives_from_conserved`, without building the fields."""
-    _require_admissible("density", rho)
-    _temperature_beta(rho, p, gas)
 
 
 def primitives(rho, vel, p, gas):

@@ -16,11 +16,9 @@ evaluates it once per step, derives dt from the same primitives and face
 diffusion coefficients, and reuses k1 across rejections; that first stage
 is also the only path to the step limit.
 
-A source (the manufactured-solution forcing) enters every stage the same
-way, as the forcing row of its tendency.  k1's row is the k2 row of the
-accepted step before, whose t + dt is this t (the first step asks the
-source for t alone); each attempt asks for t+dt and t+dt/2 in one call.
-A run makes steps + rejections + 1 source calls.
+A source (the manufactured-solution forcing) makes the system
+non-autonomous: every stage asks it for its row at that stage's own time,
+so a step makes one source call per tendency evaluation.
 """
 
 from dataclasses import dataclass
@@ -101,17 +99,15 @@ def end_reached(t, t_end):
     return t >= t_end - 1e-14 * max(1.0, abs(t_end))
 
 
-def ssprk3_step(u, dt, t, rhs, k1=None):
+def ssprk3_step(u, dt, t, rhs, k1):
     """One SSP-RK3 step of du/dt = rhs(u, t).
 
-    ``k1``, if given, is rhs(u, t) evaluated beforehand.  ``u`` and ``k1``
-    are never written, so a rejected step can be retried with both; k1 + k2
-    is formed once, and the last stage is combined in place in the arrays
-    rhs returned for k2 and k3 (rhs must return a new array per call).  The
-    operations and their order are those of the increment form above.
+    ``k1`` is rhs(u, t), evaluated beforehand.  ``u`` and ``k1`` are never
+    written, so a rejected step can be retried with both; k1 + k2 is formed
+    once, and the last stage is combined in place in the arrays rhs returned
+    for k2 and k3 (rhs must return a new array per call).  The operations
+    and their order are those of the increment form above.
     """
-    if k1 is None:
-        k1 = rhs(u, t)
     u1 = dt * k1
     u1 += u
     k12 = rhs(u1, t + dt)  # k2, then k1 + k2
@@ -139,31 +135,22 @@ class StepController:
         self.params = params
         self.source = source  # forcing(grid, t), as from MMSWave.source, or None
         self.rejections = 0
-        self._next_row = (None, None)  # (t, forcing row at t) of the last accepted step's k2
 
-    def _rhs(self, u, forcing=None, prim=None, on_block=None):
+    def _rhs(self, u, t, prim=None, on_block=None):
+        """L(u, t): the tendency with the source's row at ``t``, if there is a source."""
+        forcing = None if self.source is None else self.source(self.grid, t)
         return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant,
                             forcing=forcing, prim=prim, on_block=on_block)
 
-    def _forcing(self, *times):
-        """``{time: forcing row}`` from one source call at ``times``; the
-        rows are None without a source."""
-        if self.source is None:
-            return dict.fromkeys(times)
-        return dict(zip(times, self.source(self.grid, np.array(times))))
-
     def first_stage(self, u, t, prim):
-        """k1 = L(u, t) with its forcing row, and :func:`stable_dt` of ``u``,
-        both from the primitives ``prim`` of ``u`` and the same face bundles."""
+        """k1 = L(u, t), and :func:`stable_dt` of ``u``, both from the
+        primitives ``prim`` of ``u`` and the same face bundles."""
         block_max = []
 
         def on_block(face, index, flux, tilde_nu):
             block_max.append(float(np.max(tilde_nu)))
 
-        t_kept, row = self._next_row
-        if t_kept != t:
-            row = self._forcing(t)[t]
-        k1 = self._rhs(u, forcing=row, prim=prim, on_block=on_block)
+        k1 = self._rhs(u, t, prim=prim, on_block=on_block)
         return k1, _step_limit(prim, max(block_max), self.grid, self.gas, self.params)
 
     def attempt_step(self, u, t, dt, k1):
@@ -175,14 +162,9 @@ class StepController:
         :class:`PositivityError` (its cause), when the step cannot be
         completed within the rejection budget.
         """
-        def stage_rhs(u_stage, t_stage):
-            return self._rhs(u_stage, forcing=rows[t_stage])
-
         for _ in range(self.params.max_rejects + 1):
-            rows = self._forcing(t + dt, t + 0.5 * dt)
             try:
-                u_new = ssprk3_step(u, dt, t, stage_rhs, k1=k1)
-                self._next_row = (t + dt, rows[t + dt])
+                u_new = ssprk3_step(u, dt, t, self._rhs, k1)
                 return u_new, dt, primitives_from_conserved(u_new, self.gas)
             except PositivityError as err:
                 error = err

@@ -202,6 +202,9 @@ def check_shuffle_gaps(rng, gas, n_pairs):
             faces = face_means(ax, random_states(rng, n_pairs, gas), random_states(rng, n_pairs, gas))
             gap, scale = shuffle_gap_and_scale(faces, variant, gas)
             worst[name] = min(worst[name], float(np.min(gap / scale)))
+            # free the bundle before the next draw; gap and scale stay, as freeing
+            # them too returns the heap's top to the system, to be faulted in again
+            del faces
     return worst
 
 

@@ -239,7 +239,7 @@ def test_criterion_9_temporal_order():
     def advance(dt):
         u, t = u0.copy(), 0.0
         for _ in range(round(t_end / dt)):
-            u = ssprk3_step(u, dt, t, rhs)
+            u = ssprk3_step(u, dt, t, rhs, rhs(u, t))
             t += dt
         return u
 

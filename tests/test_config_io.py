@@ -505,13 +505,15 @@ mode = mms
         (["converge"], "t_end = 0.01", "t_end = 0.01\nseed = 1", 2, r"config error: line 5: .* unknown key"),
         (["run"], "t_end = 0.01", "t_end = 0.01\ndt_min = 1.0", 1, "physics abort: step limit"),
         (["converge"], "t_end = 0.01", "t_end = 0.01\ndt_min = 1.0", 1, "physics abort: step limit"),
+        (["converge"], "n = 8 0 0", "n = 8 0 0\nextent = 1.5 1 1\n[initial]\npreset = mms_wave", 2,
+         r"config error: line 5: \[initial\] preset: .*got extent 1\.5"),
         (["run"], "{out}", "{file}", 2, "config error: cannot create output directory"),
         (["run"], "{out}", "{file}/sub", 2, "config error: cannot create output directory"),
         (["verify", "--fast", "--seed", "1"], "", "", 0, ""),
         (["verify", "--fast", "--seed", "-1"], "", "", 2, "usage error: --seed"),
     ], ids=["run-unknown-key", "converge-unknown-key", "run-abort", "converge-abort",
-            "run-directory-is-a-file", "run-directory-under-a-file", "verify",
-            "verify-negative-seed"])
+            "converge-mms-wave-extent", "run-directory-is-a-file", "run-directory-under-a-file",
+            "verify", "verify-negative-seed"])
     def test_exit_code_matrix(self, tmp_path, capsys, argv, old, new, code, err):
         # in process, so a traceback fails the test instead of exiting 1
         (tmp_path / "file").write_text("")
@@ -572,6 +574,9 @@ mode = mms
          r"line 10: \[initial\] width:"),
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = mms_wave\nfloor = 1.0",
          r"line 10: \[initial\] floor:"),
+        # the wave's walls sit at x = 0 and x = 1, its length
+        ("n = 4 4 4", "n = 32 0 0\nextent = 1.5 1 1\n[initial]\npreset = mms_wave",
+         r"line 5: \[initial\] preset: .*extent 1 along x.*got extent 1\.5"),
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\namplitude = 1e308",
          r"line 10: \[initial\] amplitude:"),
         ("mu0 = 0.01", "mu0 = 0.01\n[initial]\npreset = gaussian_density_pulse\ntemperature = inf",
@@ -591,8 +596,8 @@ mode = mms
          "amplitude = -1", r"line 8: \[initial\]: "),
     ], ids=["dt_min-negative", "dt_min-nan", "t_end-nan", "t_end-inf", "n-one", "n-negative",
             "extent-inf", "extent-overflow", "mu0-nan", "kappa_r-inf", "r-inf", "width-negative",
-            "mms-floor", "amplitude-huge", "temperature-inf", "temperature-subnormal", "width-inf",
-            "rho-huge", "amplitude-after-floor", "floor-and-amplitude"])
+            "mms-floor", "mms-extent", "amplitude-huge", "temperature-inf", "temperature-subnormal",
+            "width-inf", "rho-huge", "amplitude-after-floor", "floor-and-amplitude"])
     def test_bad_value_exits_2_at_its_key(self, tmp_path, capsys, old, new, where):
         text = ("[grid]\nn = 4 4 4\n[solver]\ncfl = 0.4\nt_end = 0.02\n[gas]\nmu0 = 0.01\n"
                 f"[output]\ndirectory = {tmp_path / 'out'}\n")

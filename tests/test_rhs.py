@@ -150,7 +150,7 @@ class TestTranslationInvariance:
             sl = [slice(None)] * 3
             sl[ax] = slice(1, -1)
             ext[tuple(sl)] = flux
-            expected += np.diff(ext, axis=ax) / g.width_along(ax)
+            expected += np.diff(ext, axis=ax) / np.expand_dims(g.widths[ax], tuple({0, 1, 2} - {ax}))
         assert np.max(np.abs(tend[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_rest_state_stays_at_rest_under_lambda(self, gas):

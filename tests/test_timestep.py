@@ -23,6 +23,11 @@ def rest_state(grid, gas, rho=1.0, temp=1.0):
     return conserved_from_primitives(r, (0 * r, 0 * r, 0 * r), r * gas.R * temp, gas)
 
 
+def rk3(u, dt, t, rhs):
+    """:func:`ssprk3_step` with its k1 evaluated here."""
+    return ssprk3_step(u, dt, t, rhs, rhs(u, t))
+
+
 def first_attempt(ctrl, u, dt):
     """``ctrl.attempt_step`` of ``u`` at t = 0 with the k1 of its first stage."""
     k1, _ = ctrl.first_stage(u, 0.0, primitives_from_conserved(u, ctrl.gas))
@@ -83,20 +88,20 @@ class TestStableDt:
 class TestSsprk3:
     def test_zero_tendency_is_identity(self, rng):
         u = rng.uniform(-3.0, 3.0, (5, 4, 4, 4))
-        out = ssprk3_step(u, 0.1, 0.0, lambda v, t: np.zeros_like(v))
+        out = rk3(u, 0.1, 0.0, lambda v, t: np.zeros_like(v))
         assert np.array_equal(out, u)
 
     def test_single_step_decay_error(self):
         # u' = -u over dt = 0.1: the one-step defect is dt^4/24-scale
         u0 = np.array([1.0])
-        out = ssprk3_step(u0, 0.1, 0.0, lambda v, t: -v)
+        out = rk3(u0, 0.1, 0.0, lambda v, t: -v)
         err = abs(out[0] - np.exp(-0.1))
         assert 1e-7 < err < 1e-5
 
     def test_local_error_halving_slope_is_four(self):
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            out = ssprk3_step(np.array([1.0]), dt, 0.0, lambda v, t: -v)
+            out = rk3(np.array([1.0]), dt, 0.0, lambda v, t: -v)
             errs.append(abs(out[0] - np.exp(-dt)))
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for s in slopes:
@@ -109,7 +114,7 @@ class TestSsprk3:
             u = np.array([1.0])
             dt = t_end / n
             for k in range(n):
-                u = ssprk3_step(u, dt, k * dt, lambda v, t: -v)
+                u = rk3(u, dt, k * dt, lambda v, t: -v)
             errs.append(abs(u[0] - np.exp(-t_end)))
         slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for s in slopes:
@@ -130,14 +135,13 @@ class TestSsprk3:
         u2 = u + (0.25 * dt) * (k1 + k2)
         k3 = rhs(u2, t + 0.5 * dt)
         expected = u + dt * ((1.0 / 6.0) * (k1 + k2) + (2.0 / 3.0) * k3)
-        assert np.array_equal(ssprk3_step(u, dt, t, rhs, k1=k1), expected)
-        assert np.array_equal(ssprk3_step(u, dt, t, rhs), expected)
+        assert np.array_equal(ssprk3_step(u, dt, t, rhs, k1), expected)
         assert np.array_equal(u, u_before) and np.array_equal(k1, k1_before)
 
     def test_nonautonomous_stage_times(self):
         # u' = 3 t^2 integrates exactly to t^3 by any third-order method
         u = np.array([0.0])
-        u = ssprk3_step(u, 0.5, 0.0, lambda v, t: np.array([3.0 * t * t]))
+        u = rk3(u, 0.5, 0.0, lambda v, t: np.array([3.0 * t * t]))
         assert u[0] == pytest.approx(0.125, rel=1e-14)
 
 
@@ -211,12 +215,11 @@ def pulse_1d(gas, n=16):
 
 
 def late_fault_source(t_bad, component=4, value=np.inf):
-    """Forcing that puts a non-finite value into one row after ``t_bad``;
-    like ``MMSWave.source``, a vector of times gives one row per time."""
+    """Forcing that puts a non-finite value into one row after ``t_bad``."""
     def source(grid, t):
-        times = np.asarray(t, dtype=float)
-        out = np.zeros(times.shape + (5,) + grid.shape)
-        out[times > t_bad, component] = value
+        out = np.zeros((5,) + grid.shape)
+        if t > t_bad:
+            out[component] = value
         return out
     return source
 
@@ -317,46 +320,72 @@ def faulting_rhs(fault_at):
 
 
 class TestForcingCalls:
-    @pytest.mark.parametrize("fault_at", [None, 3])
+    @pytest.mark.parametrize("fault_at", [None, 3, 8])
     def test_one_forcing_call_per_step_and_rejection(self, monkeypatch, fault_at):
-        # the first k1 asks for its row at t alone; every attempt then asks
-        # for t + dt and t + dt/2 in one call, as each later k1 row is the
-        # step before's k2 row; the fault rejects the first step's stage 3
-        # once.  The kernel itself is sampled once per grid, on the first
-        # call, so its calls per run do not grow with the steps.
-        forcing_calls, kernel_calls = [], []
+        # every tendency evaluation asks the source for its row at its own
+        # stage time: t, t + dt and t + dt/2 of each accepted step, in order.
+        # The fault rejects one attempt, at stage 3 of the first step or at
+        # stage 2 of the third: that attempt asked for the ``reached`` stage
+        # times up to its faulting stage, and the retry at dt/2 reuses k1.
+        # The kernel itself is sampled once per grid, on the first call, so
+        # its calls per run do not grow with the steps.
+        reached = {None: 0, 3: 2, 8: 1}[fault_at]
+        times, kernel_calls, attempts = [], [], []
         source, compiled = gasbox.mms.MMSWave.source, gasbox.mms._compiled_source
+        attempt_step = StepController.attempt_step
 
-        def counting(calls, fn):
+        def recording_source(wave, gas):
+            forcing = source(wave, gas)
+
+            def recorded(grid, t):
+                times.append(t)
+                return forcing(grid, t)
+            return recorded
+
+        def counted_kernel(wave, gas):
+            kernel = compiled(wave, gas)
+
             def counted(*args):
-                calls.append(np.size(args[1]))
-                return fn(*args)
+                kernel_calls.append(None)
+                return kernel(*args)
             return counted
 
-        monkeypatch.setattr(gasbox.mms.MMSWave, "source",
-                            lambda wave, gas: counting(forcing_calls, source(wave, gas)))
-        monkeypatch.setattr(gasbox.mms, "_compiled_source",
-                            lambda wave, gas: counting(kernel_calls, compiled(wave, gas)))
+        def recording_attempt(self, u, t, dt, k1):
+            out = attempt_step(self, u, t, dt, k1)
+            attempts.append((t, dt, out[1]))
+            return out
+
+        monkeypatch.setattr(gasbox.mms.MMSWave, "source", recording_source)
+        monkeypatch.setattr(gasbox.mms, "_compiled_source", counted_kernel)
+        monkeypatch.setattr(StepController, "attempt_step", recording_attempt)
         per_run = []
         for t_end in (0.1, 0.2):
             # the config check builds the forcing on a probe grid of its own
             cfg = parse_config(MMS_CFG.replace("t_end = 0.1", f"t_end = {t_end}"))
-            forcing_calls.clear()
-            kernel_calls.clear()
+            for calls in (times, kernel_calls, attempts):
+                calls.clear()
             monkeypatch.setattr(gasbox.timestep, "assemble_rhs", faulting_rhs(fault_at))
             result = gasbox.driver.simulate(cfg)
-            assert result.steps > 3
+            assert result.steps == len(attempts) > 3
             assert result.rejections == (0 if fault_at is None else 1)
-            assert forcing_calls == [1] + [2] * (result.steps + result.rejections)
+            expected = []
+            for t, dt, dt_used in attempts:
+                expected.append(t)
+                while dt != dt_used:
+                    expected += [t + dt, t + 0.5 * dt][:reached]
+                    dt *= 0.5
+                expected += [t + dt_used, t + 0.5 * dt_used]
+            assert times == expected
+            assert len(times) == 3 * result.steps + reached * result.rejections
             per_run.append((result.steps, len(kernel_calls)))
         (steps, kernel), (steps_2, kernel_2) = per_run
         assert steps_2 > steps and kernel_2 == kernel
 
     @pytest.mark.parametrize("fault_at", [None, 3, 8])
     def test_k1_row_is_the_source_at_t_alone(self, monkeypatch, fault_at):
-        # at every first stage of a run, kept row or not, k1 is bitwise the
-        # tendency with the source called at the step's t alone, with and
-        # without a rejection (stage 3 of the first step, or stage 2 of the third)
+        # at every first stage of a run, k1 is bitwise the tendency with the
+        # source called at the step's t, with and without a rejection (stage 3
+        # of the first step, or stage 2 of the third)
         k1s = []
         first_stage = StepController.first_stage
 
