@@ -64,7 +64,7 @@ def _mean_logmean_jump_ratio(rho):
     direct formula has already lost at most ~4 digits to cancellation.
     The value is bounded by 1/2 in magnitude and has the sign of the jump.
     """
-    _, zeta, z = rho.chain  # the log mean's, which is read below
+    zeta, z = rho.zeta, rho.z
     num = 1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0)))
     den = 1.0 + z * num  # Horner's scheme of the denominator runs through num
     out = np.asarray(0.5 * zeta * num / den)  # +0.0 at a zero jump

@@ -69,51 +69,23 @@ def log_mean(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-class _lazy:
-    """Attribute computed on first read and stored in the instance
-    ``__dict__``, which later reads find first (a non-data descriptor).
-    Unlike ``functools.cached_property`` before Python 3.12, it takes no lock."""
-
-    def __init__(self, compute):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class PairMeans:
-    """Means of positive pairs (a, b) together with the jumps they come from.
-
-    The arrays may stack several quantities along a first axis; ``row(i)``
-    is then the pairs of quantity i, whose log mean is row i of the stack's.
-    """
+    """Means of positive pairs (a, b), the jumps they come from, and the
+    series variables of the log mean, which the density sensor reuses."""
 
     jump: np.ndarray      # b - a
     log_jump: np.ndarray  # log b - log a
     bar: np.ndarray       # arithmetic mean
-    stack: "PairMeans" = None  # the stacked pairs this is row ``index`` of
-    index: int = 0
+    ln: np.ndarray        # logarithmic mean
+    zeta: np.ndarray      # (b - a)/(a + b)
+    z: np.ndarray         # zeta^2
 
-    @_lazy
-    def chain(self):
-        """(log mean, zeta, zeta^2) of :func:`_log_mean`, computed on first
-        read (2 bar is exactly a + b); a row reads its row of the stack's."""
-        if self.stack is None:
-            return _log_mean(2.0 * self.bar, self.jump, self.log_jump)
-        ln, zeta, z = self.stack.chain
-        return ln[self.index], zeta[self.index], z[self.index]
 
-    @_lazy
-    def ln(self):
-        """Logarithmic mean, computed on first read."""
-        return self.chain[0]
-
-    def row(self, i):
-        return PairMeans(self.jump[i], self.log_jump[i], self.bar[i], self, i)
+def _pair_fields(jump, log_jump, bar):
+    """The fields of :class:`PairMeans` in order, from the jumps and the
+    arithmetic mean (2 bar is exactly a + b)."""
+    return (jump, log_jump, bar) + _log_mean(2.0 * bar, jump, log_jump)
 
 
 def pair_means(a, b, log_a, log_b):
@@ -123,9 +95,9 @@ def pair_means(a, b, log_a, log_b):
     positive and finite (see ``thermo.primitives_from_conserved``) and
     their precomputed logs, so each log is taken once per value rather
     than once per pair.  The log mean equals :func:`log_mean` of the
-    same pair.
+    same pair bitwise.
     """
-    return PairMeans(jump=b - a, log_jump=log_b - log_a, bar=0.5 * (a + b))
+    return PairMeans(*_pair_fields(b - a, log_b - log_a, 0.5 * (a + b)))
 
 
 def geo_mean(a, b):

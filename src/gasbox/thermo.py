@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .means import PairMeans, _lazy
+from .means import PairMeans, _pair_fields
 
 __all__ = [
     "GasParams",
@@ -217,9 +217,7 @@ class FaceState:
     place a jump or a mean of the two sides of a face is formed.
 
     The fields are rows of one jump array and one mean array, or formed
-    from them; the lazy attributes, like the log means of
-    :class:`~gasbox.means.PairMeans`, hold what only some walks read and
-    are computed on first read.
+    from them when the bundle is built.
     """
 
     axis: int
@@ -236,21 +234,16 @@ class FaceState:
     T4_jump: np.ndarray  # None when kappa_r == 0
     ke_bar: np.ndarray  # mean(|v|^2 / 2), the specific kinetic energy
     p_face: np.ndarray  # mean(rho) / (2 mean(beta))
-
-    @_lazy
-    def inv_log_mean_beta(self):  # 1 / logmean(beta)
-        return 1.0 / self.beta.ln
-
-    @_lazy
-    def normal_momentum_bar(self):  # mean(rho u_n), the convective mass flux
-        return 0.5 * (self.left.momenta[self.axis] + self.right.momenta[self.axis])
+    inv_log_mean_beta: np.ndarray  # 1 / logmean(beta)
+    normal_momentum_bar: np.ndarray  # mean(rho u_n), the convective mass flux
 
 
 def face_means(axis, left, right):
     """Build the :class:`FaceState` of faces with ``left``/``right`` states.
 
     Every jump is one subtract over the jump rows of the two node arrays,
-    every mean one add over their sum rows.
+    every mean one add over their sum rows, and both log means one chain
+    over the stacked rho and beta rows.
     """
     lnodes, rnodes = left.nodes, right.nodes
     jump = np.empty_like(rnodes)  # row _SPEED_SQ is not a jump row and stays unset
@@ -258,9 +251,8 @@ def face_means(axis, left, right):
     bar = np.add(lnodes[:_LOG_RHO], rnodes[:_LOG_RHO])
     ke_bar = 0.25 * bar[_SPEED_SQ]
     bar[_RHO:] *= 0.5
-    pair = PairMeans(jump=jump[_RHO:_BETA + 1], log_jump=jump[_LOG_RHO:_LOG_BETA + 1],
-                     bar=bar[_RHO:_BETA + 1])
-    rho, beta = pair.row(0), pair.row(1)
+    pair = _pair_fields(jump[_RHO:_BETA + 1], jump[_LOG_RHO:_LOG_BETA + 1], bar[_RHO:_BETA + 1])
+    rho, beta = (PairMeans(*(field[i] for field in pair)) for i in (0, 1))
     vel_jump = jump[_VEL]
     return FaceState(
         axis=axis, left=left, right=right, rho=rho, beta=beta,
@@ -273,6 +265,8 @@ def face_means(axis, left, right):
         T4_jump=jump[_T4] if len(jump) > _T4 else None,
         ke_bar=ke_bar,
         p_face=rho.bar / (2.0 * beta.bar),
+        inv_log_mean_beta=1.0 / beta.ln,
+        normal_momentum_bar=0.5 * (left.momenta[axis] + right.momenta[axis]),
     )
 
 

@@ -179,7 +179,8 @@ class StepController:
         """Run to t_end; ``on_step(u, t, dt, prim)`` fires after each accepted
         step with the state's primitives; the last step is the one after
         which :func:`end_reached` holds.  Raises :class:`RunAbort` when the
-        step limit falls below ``params.dt_min``, as the run would crawl."""
+        step limit falls below ``params.dt_min``, as the run would crawl, or
+        when t + dt rounds to t, as it would never end."""
         prim = primitives_from_conserved(u, self.gas)
         while not end_reached(t, t_end):
             k1, dt = self.first_stage(u, t, prim)
@@ -187,8 +188,10 @@ class StepController:
             if dt < self.params.dt_min:
                 raise RunAbort(f"step limit {dt:.3g} below dt_min = {self.params.dt_min:.3g}"
                                f" at t = {t:.6g}", t, u)
-            u, dt_used, prim = self.attempt_step(u, t, min(dt, t_end - t), k1)
-            t += dt_used
+            u_new, dt_used, prim = self.attempt_step(u, t, min(dt, t_end - t), k1)
+            if t + dt_used == t:
+                raise RunAbort(f"step {dt_used:.3g} does not move t = {t:.6g}", t, u)
+            u, t = u_new, t + dt_used
             if on_step is not None:
                 on_step(u, t, dt_used, prim)
         return u, t

@@ -120,10 +120,9 @@ class TestFaceBlocks:
         assert rec.entropy_dissipation == pytest.approx(dissipation, rel=1e-14)
         assert rec.norm_rho_grad_vel == pytest.approx(np.sqrt(grad_vel_sq), rel=1e-14)
 
-    def test_log_means_computed_on_first_read(self, rng, gas, monkeypatch):
-        # a walk that reads no log mean computes none; totals reads that of
-        # rho only, the tendency those of rho and beta, and either takes
-        # both from one chain over the stacked pair per block
+    def test_one_log_mean_chain_per_block(self, rng, gas, monkeypatch):
+        # every face bundle runs one chain over its stacked rho/beta pair,
+        # whichever walk builds it and whatever it reads
         g = build_grid((12, 10, 8))
         u5 = random_admissible_field(rng, g, gas)
         monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 200)
@@ -132,12 +131,11 @@ class TestFaceBlocks:
         log_mean = gasbox.means._log_mean
         monkeypatch.setattr(gasbox.means, "_log_mean", lambda *args: calls.append(1) or log_mean(*args))
         blocks = sum(1 for _ in face_blocks(prim, g))
-        assert blocks > 3 * len(g.active_axes) and not calls
-        totals(u5, g, gas, prim=prim)
-        assert len(calls) == blocks
-        calls.clear()
-        assemble_rhs(u5, g, gas, prim=prim)
-        assert len(calls) == blocks
+        assert blocks > 3 * len(g.active_axes) and len(calls) == blocks
+        for walk in (lambda: totals(u5, g, gas, prim=prim), lambda: assemble_rhs(u5, g, gas, prim=prim)):
+            calls.clear()
+            walk()
+            assert len(calls) == blocks
 
     @pytest.mark.parametrize("n", [(7, 6, 5), (6, 9, 0), (12, 0, 0)])
     def test_blocked_monitors_match_one_block(self, rng, gas, monkeypatch, n):

@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gasbox.means import arith_mean, geo_mean, log_mean, split_average_residual
+from gasbox.means import PairMeans, arith_mean, geo_mean, log_mean, pair_means, split_average_residual
+from gasbox.thermo import GasParams, face_means, primitives
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6,
                             allow_nan=False, allow_infinity=False)
@@ -86,6 +90,46 @@ class TestLogMean:
         gm = geo_mean(a, b)
         assert gm <= lm + 1e-15 * am
         assert lm <= am + 1e-15 * am
+
+
+# ratios b/a over 1e-6 .. 1e6, with equal pairs and pairs near enough for
+# the series branch of the log mean (zeta^2 < 1e-4 within ~2%)
+ratios = st.one_of(st.just(1.0), st.floats(min_value=0.97, max_value=1.03),
+                   st.floats(min_value=1e-6, max_value=1e6))
+
+
+def _same_bits(x, y):
+    return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestPairMeans:
+    @given(a=positive_floats, ratio=ratios)
+    @settings(max_examples=300, deadline=None)
+    def test_log_mean_is_log_mean_bitwise(self, a, ratio):
+        b = a * ratio
+        assert _same_bits(pair_means(a, b, np.log(a), np.log(b)).ln, log_mean(a, b))
+
+    @given(shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5),
+           seed=st.integers(0, 2**32 - 1), axis=st.integers(0, 2),
+           jump_scale=st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 14.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_face_pairs_are_pair_means_of_the_nodes(self, shape, seed, axis, jump_scale):
+        # both log means of a face bundle come from one chain over its
+        # stacked rho/beta rows; each row is pair_means of its node values
+        gas = GasParams(gamma=1.4, R=1.0)
+        rng = np.random.default_rng(seed)
+        vel = tuple(np.array(rng.uniform(-1.0, 1.0, shape)) for _ in range(3))
+        rho, p = (np.array(np.exp(rng.uniform(-3.0, 3.0, shape))) for _ in range(2))
+        rho_r, p_r = (np.array(x * np.exp(jump_scale * rng.uniform(-0.5, 0.5, shape))) for x in (rho, p))
+        left, right = primitives(rho, vel, p, gas), primitives(rho_r, vel, p_r, gas)
+        face = face_means(axis, left, right)
+        for name in ("rho", "beta"):
+            log = "log_" + name
+            ref = pair_means(getattr(left, name), getattr(right, name), getattr(left, log),
+                             getattr(right, log))
+            for field in fields(PairMeans):
+                assert _same_bits(getattr(getattr(face, name), field.name),
+                                  getattr(ref, field.name)), (name, field.name)
 
 
 class TestGeoMean:

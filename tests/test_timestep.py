@@ -199,6 +199,33 @@ class TestStepController:
         assert seen[-1] == t
         assert np.array_equal(u, u0)  # uniform rest is steady
 
+    @settings(max_examples=20, deadline=None)
+    @given(t0=st.floats(min_value=1e5, max_value=1e15))
+    def test_step_that_cannot_move_t_aborts(self, t0):
+        # a strong mu0 limits dt to 6.1e-12 (>= dt_min), below half the
+        # spacing of floats at t0, so t + dt == t: the run must abort with
+        # its last good state instead of stepping in place forever
+        gas = GasParams(gamma=1.4, R=1.0, mu0=1e7, mu1=0.0)
+        g = build_grid((64, 0, 0))
+        u0 = initial_condition("gaussian_density_pulse", g, gas, floor=1.0, amplitude=0.5, width=0.1)
+        ctrl = StepController(g, gas, SolverParams())
+        dt = stable_dt(u0, g, gas, ctrl.params)
+        assert ctrl.params.dt_min <= dt and t0 + dt == t0
+        attempts = []
+        attempt_step = ctrl.attempt_step
+
+        def counted(*args):
+            attempts.append(args[2])
+            if len(attempts) > 5:
+                raise AssertionError(f"{len(attempts)} steps left t at {t0!r}")
+            return attempt_step(*args)
+
+        ctrl.attempt_step = counted
+        with pytest.raises(RunAbort) as err:
+            ctrl.advance(u0, t0, t0 * (1.0 + 1e-12))
+        assert str(err.value) == f"step {dt:.3g} does not move t = {t0:.6g}"
+        assert err.value.t == t0 and err.value.state is u0 and attempts == [dt]
+
     def test_positivity_error_propagates_from_bad_input(self, gas):
         g = build_grid((4, 4, 4))
         u0 = rest_state(g, gas)
