@@ -75,7 +75,7 @@ def _cmd_run(args):
     if cfg.snapshots:
         write_snapshot(out_dir / "final.snap", result.state, result.t, cfg.gas)
     if cfg.apriori_report:
-        report = apriori_norm_report(result.history, result.grid, cfg.gas, result.records)
+        report = apriori_norm_report(result.history)
         (out_dir / "apriori_report.txt").write_text(format_apriori_report(report), encoding="utf-8")
 
     mass_drift, energy_drift, monotone = _summary(result.records)

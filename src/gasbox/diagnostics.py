@@ -49,6 +49,7 @@ __all__ = [
     "ConvergenceRow",
     "convergence_study",
     "format_convergence_table",
+    "apriori_sample",
     "apriori_norm_report",
     "format_apriori_report",
 ]
@@ -97,15 +98,13 @@ CSV_HEADER = (
 )
 
 
-def totals(u5, grid, gas, t=0.0, dt=float("nan"), prim=None):
+def totals(u5, grid, gas, t=0.0, dt=float("nan"), *, prim):
     """One :class:`DiagnosticsRecord`; reductions run in fixed array order.
 
-    ``prim``, the primitives of ``u5``, is converted unless handed in.  The
-    face terms come from one walk over the face blocks.
+    ``prim`` holds the primitives of ``u5``, which every caller has already
+    converted.  The face terms come from one walk over the face blocks.
     """
     u5 = np.asarray(u5, dtype=float)
-    if prim is None:
-        prim = primitives_from_conserved(u5, gas)
     vol = grid.cell_volumes
 
     dissipation = rho_bar_grad_vel_sq = 0.0
@@ -400,45 +399,41 @@ def format_convergence_table(rows):
 # a priori norm report
 
 
-def apriori_norm_report(history, grid, gas, records):
-    """Time series and time integrals of the monitored norms.
+# the a priori report's columns, in the order of apriori_sample: sups, then integrands
+_SUP_COLUMNS = ("mass (L1 of rho)", "L4 norm of rho", "L1 of rho log rho", "L1 of 1/rho",
+                "L1 of sqrt(T)", "L2^2 of sqrt(rho) v")
+_INTEGRAND_COLUMNS = ("grad rho (L2^2)", "grad log rho (L2^2)", "grad rho^{5/2} (L2^2)",
+                      "grad 1/rho (L2^2)", "grad T^{3/2} (L2^2)", "entropy dissipation")
 
-    ``history`` is a list of (t, conserved field) pairs and ``records`` the
-    :class:`DiagnosticsRecord` of each of its instants, as a run keeps them.
-    The entropy dissipation and the norms of grad log rho and grad T^{3/2}
-    are read from the records.  Values are reported, never asserted: the
-    estimates they mirror come with unquantified constants.  Time integrals
-    use the trapezoid rule on the sampled instants.
+
+def apriori_sample(prim, grid, rec):
+    """The a priori report's values at the record ``rec`` of a field with
+    primitives ``prim``, one per column in column order.  The sums ``rec``
+    already holds (mass, kinetic energy, dissipation, two norms) are read."""
+    vol, rho = grid.cell_volumes, prim.rho
+    return np.array([
+        rec.total_mass, discrete_norm(rho, grid, 4), float(np.sum(vol * np.abs(rho * prim.log_rho))),
+        float(np.sum(vol / rho)), float(np.sum(vol * np.sqrt(prim.T))), 2.0 * rec.total_kinetic,
+        gradient_norm_l2(rho, grid) ** 2, rec.norm_grad_log_rho ** 2, gradient_norm_l2(rho ** 2.5, grid) ** 2,
+        gradient_norm_l2(1.0 / rho, grid) ** 2, rec.norm_grad_temp32 ** 2, rec.entropy_dissipation,
+    ])
+
+
+def apriori_norm_report(history):
+    """Sup and time integral of the monitored norms over a run's records.
+
+    ``history`` is a list of (t, :func:`apriori_sample`) pairs, as a run
+    keeps them.  Values are reported, never asserted: the estimates they
+    mirror come with unquantified constants.  Time integrals use the
+    trapezoid rule on the sampled instants.
     """
     if not history:
         raise ValueError("empty history")
     times = np.array([t for t, _ in history])
-    if [r.t for r in records] != [float(t) for t in times]:
-        raise ValueError("records and history are not taken at the same instants")
-    sups, integrands = [], []
-    for (_, u5), rec in zip(history, records):
-        prim = primitives_from_conserved(np.asarray(u5, dtype=float), gas)
-        vol = grid.cell_volumes
-        sups.append({
-            "mass (L1 of rho)": float(np.sum(vol * prim.rho)),
-            "L4 norm of rho": discrete_norm(prim.rho, grid, 4),
-            "L1 of rho log rho": float(np.sum(vol * np.abs(prim.rho * prim.log_rho))),
-            "L1 of 1/rho": float(np.sum(vol / prim.rho)),
-            "L1 of sqrt(T)": float(np.sum(vol * np.sqrt(prim.T))),
-            "L2^2 of sqrt(rho) v": float(np.sum(vol * prim.rho * prim.speed_sq)),
-        })
-        integrands.append({
-            "grad rho (L2^2)": gradient_norm_l2(prim.rho, grid) ** 2,
-            "grad log rho (L2^2)": rec.norm_grad_log_rho ** 2,
-            "grad rho^{5/2} (L2^2)": gradient_norm_l2(prim.rho ** 2.5, grid) ** 2,
-            "grad 1/rho (L2^2)": gradient_norm_l2(1.0 / prim.rho, grid) ** 2,
-            "grad T^{3/2} (L2^2)": rec.norm_grad_temp32 ** 2,
-            "entropy dissipation": rec.entropy_dissipation,
-        })
-
-    sup = {key: max(s[key] for s in sups) for key in sups[0]}
-    integrals = {key: float(np.trapezoid(np.array([i[key] for i in integrands]), times))
-                 for key in integrands[0]}
+    columns = np.array([sample for _, sample in history]).T
+    sup = {key: float(np.max(col)) for key, col in zip(_SUP_COLUMNS, columns)}
+    integrals = {key: float(np.trapezoid(col, times))
+                 for key, col in zip(_INTEGRAND_COLUMNS, columns[len(_SUP_COLUMNS):])}
     return {"sup": sup, "time_integrals": integrals, "t_span": (float(times[0]), float(times[-1]))}
 
 

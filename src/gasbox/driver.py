@@ -5,9 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import totals
+from .diagnostics import apriori_sample, totals
 from .grid import build_grid
-from .initial import initial_condition
+from .initial import _gated
 from .mms import mms_from_initial
 from .timestep import RunAbort, StepController, end_reached
 
@@ -28,29 +28,28 @@ class RunResult:
 def simulate(cfg):
     """Advance a configured run to t_end; a record with a monitor that is
     not finite raises :class:`RunAbort`.  With ``cfg.apriori_report`` the
-    history keeps (t, field) of each record: the run's own arrays, not
-    copies, as the step loop never writes a state it has handed out."""
+    history keeps (t, :func:`~gasbox.diagnostics.apriori_sample`) of each
+    record, twelve numbers taken from the primitives the record reads; no
+    field is kept."""
     grid = build_grid(cfg.grid_n, cfg.extent)
     gas = cfg.gas
-    params = {k: v for k, v in cfg.initial.items() if k != "preset"}
-    preset = cfg.initial["preset"]
-    u = initial_condition(preset, grid, gas, **params)
+    u, prim = _gated(cfg.initial, grid, gas)
 
     source = None
-    if preset == "mms_wave":
+    if cfg.initial["preset"] == "mms_wave":
         source = mms_from_initial(cfg.initial).source(gas)
 
     controller = StepController(grid, gas, cfg.solver, source=source)
     result = RunResult(grid=grid, state=u, t=0.0, steps=0)
 
-    def record(u_now, t_now, dt=float("nan"), prim=None):
+    def record(u_now, t_now, dt, prim):
         with np.errstate(all="ignore"):  # the abort below reports an overflow
             rec = totals(u_now, grid, gas, t=t_now, dt=dt, prim=prim)
         if bad := rec.nonfinite():
             raise RunAbort(f"monitors not finite at t = {t_now:.6g}: {', '.join(bad)}", t_now, u_now)
         result.records.append(rec)
         if cfg.apriori_report:
-            result.history.append((t_now, u_now))
+            result.history.append((t_now, apriori_sample(prim, grid, rec)))
 
     def on_step(u_new, t_new, dt_used, prim):
         # ``prim`` is not kept past the call: the step controller frees its
@@ -60,7 +59,8 @@ def simulate(cfg):
         if result.steps % cfg.cadence == 0 or end_reached(t_new, cfg.t_end):
             record(u_new, t_new, dt_used, prim)
 
-    record(u, 0.0)
+    record(u, 0.0, float("nan"), prim)
+    del prim  # the loop converts the state again; the gate's node array would stay resident
     u, t = controller.advance(u, 0.0, cfg.t_end, on_step=on_step)
     result.state = u
     result.t = t

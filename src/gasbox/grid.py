@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable grid geometry; safe to share between threads.
+    """Immutable grid geometry.
 
     Attributes
     ----------

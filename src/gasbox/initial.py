@@ -17,13 +17,6 @@ from .thermo import PositivityError, conserved_from_primitives, primitives_from_
 __all__ = ["initial_condition", "check_initial", "PRESETS"]
 
 
-def _node_mesh(grid):
-    x = grid.nodes[0][:, None, None]
-    y = grid.nodes[1][None, :, None]
-    z = grid.nodes[2][None, None, :]
-    return x, y, z
-
-
 def _gaussian_bump(grid, width):
     """Product Gaussian over the active axes, peak 1 at the box center."""
     if not 0.0 < width < np.inf:
@@ -32,10 +25,9 @@ def _gaussian_bump(grid, width):
     with np.errstate(over="ignore"):
         two_w2 = 2.0 * np.float64(width) ** 2
     bump = np.ones(grid.shape)
-    mesh = _node_mesh(grid)
     for ax in grid.active_axes:
-        c = 0.5 * grid.extent[ax]
-        bump = bump * np.exp(-((mesh[ax] - c) ** 2) / two_w2)
+        x = grid.nodes[ax].reshape([-1 if a == ax else 1 for a in range(3)])
+        bump = bump * np.exp(-((x - 0.5 * grid.extent[ax]) ** 2) / two_w2)
     return bump
 
 
@@ -85,21 +77,29 @@ def initial_condition(preset, grid, gas, **params):
     Raises ValueError for unknown presets or parameters that would make
     the state inadmissible (:func:`~gasbox.thermo.primitives_from_conserved`).
     """
+    return _gated(dict(params, preset=preset), grid, gas)[0]
+
+
+def _gated(initial, grid, gas):
+    """``(u5, prim)`` of an ``[initial]`` block: the preset's conserved field
+    with its boundary state, and the primitives of the admissibility gate,
+    so a run's first record need not convert the field again."""
+    preset = initial["preset"]
     try:
         builder = PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown initial preset {preset!r}") from None
-    params = {k: v for k, v in params.items() if v is not None}
+    params = {k: v for k, v in initial.items() if k != "preset" and v is not None}
     try:
         u5 = builder(grid, gas, **params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for preset {preset!r}: {exc}") from None
     u5 = apply_boundary_state(u5, grid)
     try:
-        primitives_from_conserved(u5, gas)
+        prim = primitives_from_conserved(u5, gas)
     except PositivityError as exc:
         raise ValueError(f"nonpositive or non-finite initial state: {exc}") from None
-    return u5
+    return u5, prim
 
 
 def check_initial(initial, grid_n, extent, gas):
@@ -113,11 +113,11 @@ def check_initial(initial, grid_n, extent, gas):
     bumps of the Gaussian presets take their extremes, so a block that
     passes here yields an admissible field on every grid of that box.
     """
-    params = {k: v for k, v in initial.items() if k != "preset"}
     # the checks report a rejected block; numpy's warnings would only repeat them
     with np.errstate(all="ignore"):
         probe = build_grid(tuple(2 if n else 0 for n in grid_n), extent)
-        record = totals(initial_condition(initial["preset"], probe, gas, **params), probe, gas)
+        u5, prim = _gated(initial, probe, gas)
+        record = totals(u5, probe, gas, prim=prim)
         if bad := record.nonfinite():
             raise ValueError(f"the monitors of the initial state overflow: {', '.join(bad)} not finite")
         if initial["preset"] == "mms_wave":

@@ -64,17 +64,17 @@ def conservation_run():
     u = initial_condition("gaussian_density_pulse", grid, GAS_3D,
                           floor=1.0, amplitude=0.5, width=0.1)
     controller = StepController(grid, GAS_3D, params)
-    records = [totals(u, grid, GAS_3D, t=0.0)]
+    prim = primitives_from_conserved(u, GAS_3D)
+    records = [totals(u, grid, GAS_3D, t=0.0, prim=prim)]
     momentum_scale = 0.0
     vol = grid.cell_volumes
     t = 0.0
     start = time.perf_counter()
-    prim = primitives_from_conserved(u, GAS_3D)
     for _ in range(200):
         k1, dt = controller.first_stage(u, t, prim)
         u, dt_used, prim = controller.attempt_step(u, t, dt, k1)
         t += dt_used
-        records.append(totals(u, grid, GAS_3D, t=t, dt=dt_used))
+        records.append(totals(u, grid, GAS_3D, t=t, dt=dt_used, prim=prim))
         speed = np.sqrt(prim.speed_sq)
         momentum_scale = max(momentum_scale,
                              float(np.max(prim.rho)) * float(np.max(speed)) * math.prod(grid.extent))

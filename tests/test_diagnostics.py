@@ -10,6 +10,7 @@ from gasbox.diagnostics import (
     CSV_HEADER,
     _dissipation_bracket,
     apriori_norm_report,
+    apriori_sample,
     balance_residuals,
     convergence_study,
     entropy_balance_residual,
@@ -21,7 +22,7 @@ from gasbox.diagnostics import (
     write_csv,
 )
 from gasbox.fluxes import LambdaVariant, physical_coeff
-from gasbox.grid import build_grid
+from gasbox.grid import build_grid, discrete_norm, gradient_norm_l2
 from gasbox.rhs import assemble_rhs, face_blocks
 from gasbox.thermo import (
     GasParams,
@@ -30,7 +31,7 @@ from gasbox.thermo import (
     primitives,
     primitives_from_conserved,
 )
-from gasbox.timestep import SolverParams, stable_dt
+from gasbox.timestep import SolverParams, StepController, stable_dt
 from gasbox.verify import random_admissible_field, random_states
 
 
@@ -42,7 +43,8 @@ def rest_state(grid, gas, rho=1.0, temp=1.0):
 class TestTotals:
     def test_uniform_rest(self, gas):
         g = build_grid((4, 4, 4))
-        rec = totals(rest_state(g, gas), g, gas, t=1.5)
+        u5 = rest_state(g, gas)
+        rec = totals(u5, g, gas, t=1.5, prim=primitives_from_conserved(u5, gas))
         assert rec.total_mass == pytest.approx(1.0, rel=1e-14)
         assert rec.total_energy == pytest.approx(2.5, rel=1e-14)
         assert rec.total_kinetic == 0.0
@@ -56,13 +58,13 @@ class TestTotals:
         rho = rng.uniform(0.5, 2.0, g.shape)
         u5 = conserved_from_primitives(rho, (0 * rho, 0 * rho, 0 * rho),
                                        rho ** gas.gamma, gas)
-        rec = totals(u5, g, gas)
+        rec = totals(u5, g, gas, prim=primitives_from_conserved(u5, gas))
         assert abs(rec.total_entropy) <= 1e-13
 
     def test_momentum_matches_serial_sum(self, rng, gas):
         g = build_grid((6, 6, 6))
         u5 = random_admissible_field(rng, g, gas)
-        rec = totals(u5, g, gas)
+        rec = totals(u5, g, gas, prim=primitives_from_conserved(u5, gas))
         vol = g.cell_volumes
         for c in range(3):
             serial = 0.0
@@ -75,8 +77,9 @@ class TestTotals:
 
     def test_csv_roundtrip(self, tmp_path, rng, gas):
         g = build_grid((4, 4, 4))
-        recs = [totals(random_admissible_field(rng, g, gas), g, gas, t=float(k))
-                for k in range(3)]
+        fields = [random_admissible_field(rng, g, gas) for _ in range(3)]
+        recs = [totals(u5, g, gas, t=float(k), prim=primitives_from_conserved(u5, gas))
+                for k, u5 in enumerate(fields)]
         path = tmp_path / "diag.csv"
         write_csv(path, recs)
         lines = path.read_text().strip().splitlines()
@@ -88,11 +91,19 @@ class TestTotals:
 
 class TestFaceBlocks:
     def test_totals_with_primitives_handed_in(self, rng, gas):
+        # a run records from the primitives its step returns; they are
+        # those of a fresh conversion of the new state, bit for bit
         g = build_grid((6, 5, 4))
         u5 = random_admissible_field(rng, g, gas)
-        given = totals(u5, g, gas, t=0.25, dt=0.125, prim=primitives_from_conserved(u5, gas))
-        converted = totals(u5, g, gas, t=0.25, dt=0.125)
-        assert dataclasses.astuple(given) == dataclasses.astuple(converted)
+        ctrl = StepController(g, gas, SolverParams(cfl=0.4))
+        steps = []
+        ctrl.advance(u5, 0.0, stable_dt(u5, g, gas, ctrl.params),
+                     on_step=lambda u_, t_, dt_, prim_: steps.append((u_, t_, dt_, prim_)))
+        assert steps
+        for u1, t1, dt1, prim1 in steps:
+            given = totals(u1, g, gas, t=t1, dt=dt1, prim=prim1)
+            converted = totals(u1, g, gas, t=t1, dt=dt1, prim=primitives_from_conserved(u1, gas))
+            assert dataclasses.astuple(given) == dataclasses.astuple(converted)
 
     def test_blocked_face_sums_match_whole_slabs(self, rng, gas, monkeypatch):
         g = build_grid((40, 32, 24))
@@ -257,7 +268,8 @@ class TestShuffleGap:
 class TestEntropyDissipation:
     def test_uniform_field(self, gas):
         g = build_grid((4, 4, 4))
-        assert totals(rest_state(g, gas), g, gas).entropy_dissipation == 0.0
+        u5 = rest_state(g, gas)
+        assert totals(u5, g, gas, prim=primitives_from_conserved(u5, gas)).entropy_dissipation == 0.0
 
     def test_radiative_term_from_temperature_jump(self):
         gas = GasParams(gamma=1.4, R=1.0, kappa_r=0.5)
@@ -265,7 +277,7 @@ class TestEntropyDissipation:
         rho = np.ones(g.shape)
         temp = np.array([1.0, 1.5, 2.0]).reshape(3, 1, 1)
         u5 = conserved_from_primitives(rho, (0 * rho, 0 * rho, 0 * rho), rho * temp, gas)
-        assert totals(u5, g, gas).entropy_dissipation > 0.0
+        assert totals(u5, g, gas, prim=primitives_from_conserved(u5, gas)).entropy_dissipation > 0.0
 
     def test_per_face_terms_nonnegative(self, rng, gas):
         left = random_states(rng, 10**5, gas)
@@ -368,88 +380,165 @@ class TestConvergenceStudy:
         assert "L2 error" in text and "16" in text
 
 
+def sampled(t, u5, prim, grid, gas):
+    """``(t, apriori_sample)`` of a field with primitives ``prim``, as a run's record keeps it."""
+    return t, apriori_sample(prim, grid, totals(u5, grid, gas, t, prim=prim))
+
+
+def recomputed_columns(u5, grid, gas, t):
+    """The a priori report's sup and integrand values of one field, formed
+    from the report's formulas on a conversion of the field itself."""
+    prim = primitives_from_conserved(u5, gas)
+    rec = totals(u5, grid, gas, t, prim=prim)
+    vol = grid.cell_volumes
+    sups = {
+        "mass (L1 of rho)": float(np.sum(vol * prim.rho)),
+        "L4 norm of rho": discrete_norm(prim.rho, grid, 4),
+        "L1 of rho log rho": float(np.sum(vol * np.abs(prim.rho * prim.log_rho))),
+        "L1 of 1/rho": float(np.sum(vol / prim.rho)),
+        "L1 of sqrt(T)": float(np.sum(vol * np.sqrt(prim.T))),
+        "L2^2 of sqrt(rho) v": float(np.sum(vol * prim.rho * prim.speed_sq)),
+    }
+    integrands = {
+        "grad rho (L2^2)": gradient_norm_l2(prim.rho, grid) ** 2,
+        "grad log rho (L2^2)": rec.norm_grad_log_rho ** 2,
+        "grad rho^{5/2} (L2^2)": gradient_norm_l2(prim.rho ** 2.5, grid) ** 2,
+        "grad 1/rho (L2^2)": gradient_norm_l2(1.0 / prim.rho, grid) ** 2,
+        "grad T^{3/2} (L2^2)": rec.norm_grad_temp32 ** 2,
+        "entropy dissipation": rec.entropy_dissipation,
+    }
+    return sups, integrands
+
+
+def recomputed_report(states, grid, gas):
+    """The a priori report of ``(t, field)`` pairs, formed from the fields:
+    the max of each sup column and the trapezoid rule on each integrand."""
+    times = np.array([t for t, _ in states])
+    columns = [recomputed_columns(u5, grid, gas, t) for t, u5 in states]
+    sup = {key: max(s[key] for s, _ in columns) for key in columns[0][0]}
+    integrals = {key: float(np.trapezoid(np.array([i[key] for _, i in columns]), times))
+                 for key in columns[0][1]}
+    return {"sup": sup, "time_integrals": integrals, "t_span": (float(times[0]), float(times[-1]))}
+
+
+@pytest.fixture(scope="module")
+def recorded_demo_run():
+    """demo.cfg physics at 16^3 to t = 0.04 with a record at every step:
+    the config, the run's result and a copy of each field it recorded."""
+    import gasbox.driver
+    from gasbox.config import parse_config
+    text = (pathlib.Path(__file__).resolve().parent.parent / "demo.cfg").read_text()
+    cfg = parse_config(text.replace("t_end = 0.5", "t_end = 0.04").replace("cadence = 10", "cadence = 1"))
+    assert cfg.grid_n == (16, 16, 16) and cfg.cadence == 1 and cfg.apriori_report
+    states = []
+
+    def capturing_totals(u5, *args, **kwargs):
+        states.append(np.array(u5))
+        return totals(u5, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gasbox.driver, "totals", capturing_totals)
+        result = gasbox.driver.simulate(cfg)
+    return cfg, result, states
+
+
 class TestAprioriReport:
     def test_constant_history(self, gas):
         g = build_grid((4, 4, 4))
         u5 = rest_state(g, gas)
-        history = [(0.0, u5), (1.0, u5)]
-        report = apriori_norm_report(history, g, gas, [totals(u, g, gas, t) for t, u in history])
+        prim = primitives_from_conserved(u5, gas)
+        report = apriori_norm_report([sampled(t, u5, prim, g, gas) for t in (0.0, 1.0)])
         for key, value in report["time_integrals"].items():
             assert value == 0.0, key
         assert report["sup"]["mass (L1 of rho)"] == pytest.approx(1.0, rel=1e-14)
 
     def test_mass_constant_over_history(self, rng, gas):
-        from gasbox.timestep import SolverParams, StepController
         from gasbox.initial import initial_condition
         g = build_grid((8, 0, 0))
         u = initial_condition("gaussian_density_pulse", g, gas,
                               floor=1.0, amplitude=0.3, width=0.15)
         ctrl = StepController(g, gas, SolverParams(cfl=0.4))
-        history = [(0.0, u.copy())]
-        u, t = ctrl.advance(u, 0.0, 0.02,
-                            on_step=lambda u_, t_, dt_, prim_: history.append((t_, u_.copy())))
-        report = apriori_norm_report(history, g, gas, [totals(u_, g, gas, t_) for t_, u_ in history])
-        masses = [float(np.sum(g.cell_volumes * f[0])) for _, f in history]
+        states = [u]
+        history = [sampled(0.0, u, primitives_from_conserved(u, gas), g, gas)]
+
+        def on_step(u_, t_, dt_, prim_):
+            states.append(u_)
+            history.append(sampled(t_, u_, prim_, g, gas))
+
+        ctrl.advance(u, 0.0, 0.02, on_step=on_step)
+        report = apriori_norm_report(history)
+        masses = [float(np.sum(g.cell_volumes * f[0])) for f in states]
         assert max(masses) - min(masses) <= 1e-12 * masses[0]
         assert report["time_integrals"]["grad log rho (L2^2)"] > 0.0
         assert "a priori norm report" in format_apriori_report(report)
 
-    def test_records_supply_the_face_terms_bitwise(self):
-        # demo physics at 16^3, a record at every step: the report read from
-        # the records equals the one that walks the faces again
+    def test_records_supply_the_face_terms_bitwise(self, recorded_demo_run):
+        # demo physics at 16^3, a record at every step: each sample, which
+        # reads the mass, the kinetic energy and the face terms from its
+        # record, equals the report's formulas on a fresh conversion of its
+        # field, with the face terms walked again
+        cfg, result, states = recorded_demo_run
+        assert result.steps > 1 and len(states) == len(result.records) == len(result.history)
+        for (t, sample), rec, u5 in zip(result.history, result.records, states):
+            assert t == rec.t and sample.shape == (12,)
+            sups, integrands = recomputed_columns(u5, result.grid, cfg.gas, t)
+            assert sample.tobytes() == np.array([*sups.values(), *integrands.values()]).tobytes()
+        assert apriori_norm_report(result.history)["time_integrals"]["entropy dissipation"] > 0.0
+
+    def test_report_equals_the_one_recomputed_from_the_recorded_fields(self, recorded_demo_run):
+        # the report reduced from the twelve-value samples equals, bit for
+        # bit, the one formed from the recorded fields themselves
+        cfg, result, states = recorded_demo_run
+        times = [rec.t for rec in result.records]
+        expected = recomputed_report(list(zip(times, states)), result.grid, cfg.gas)
+        assert apriori_norm_report(result.history) == expected
+        assert result.history[-1][0] == result.t
+
+    def test_history_memory_does_not_grow_with_a_field_per_record(self):
+        # demo physics at 8^3, a record at every step: what a run retains
+        # with the report on, beyond the same run with it off, grows by a
+        # sample per record, not a field (a field alone is 29 KB here)
+        import gc
+        import tracemalloc
+
         from gasbox.config import parse_config
         from gasbox.driver import simulate
         text = (pathlib.Path(__file__).resolve().parent.parent / "demo.cfg").read_text()
-        text = text.replace("t_end = 0.5", "t_end = 0.04").replace("cadence = 10", "cadence = 1")
-        cfg = parse_config(text)
-        cfg.apriori_report = True
-        assert cfg.grid_n == (16, 16, 16) and cfg.cadence == 1
-        result = simulate(cfg)
-        assert result.steps > 1 and len(result.records) == len(result.history)
-        walked = [totals(u, result.grid, cfg.gas, t) for t, u in result.history]
-        read = apriori_norm_report(result.history, result.grid, cfg.gas, result.records)
-        assert read == apriori_norm_report(result.history, result.grid, cfg.gas, walked)
-        assert read["time_integrals"]["entropy dissipation"] > 0.0
-        with pytest.raises(ValueError, match="same instants"):
-            apriori_norm_report(result.history[1:], result.grid, cfg.gas, result.records)
+        text = text.replace("n = 16 16 16", "n = 8 8 8").replace("cadence = 10", "cadence = 1")
 
-    def test_history_holds_the_runs_own_arrays_unwritten(self, monkeypatch):
-        # the history keeps the arrays the step loop handed out, not copies;
-        # each one's bytes at the end equal those it had when recorded
-        import hashlib
+        def retained(t_end, report):
+            cfg = parse_config(text.replace("t_end = 0.5", f"t_end = {t_end}")
+                               .replace("apriori_report = true", f"apriori_report = {report}"))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = simulate(cfg)
+                gc.collect()
+                return len(result.records), tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
 
-        import gasbox.driver
-        from gasbox.config import parse_config
-
-        recorded = []
-
-        def fingerprinting_totals(u5, *args, **kwargs):
-            recorded.append(hashlib.sha256(u5.tobytes()).hexdigest())
-            return totals(u5, *args, **kwargs)
-
-        monkeypatch.setattr(gasbox.driver, "totals", fingerprinting_totals)
-        cfg = parse_config("[grid]\nn = 8 8 0\n[gas]\nmu0 = 0.02\n[solver]\nt_end = 0.3\n"
-                           "[initial]\npreset = gaussian_density_pulse\n"
-                           "[output]\ncadence = 2\napriori_report = true\n")
-        result = gasbox.driver.simulate(cfg)
-        assert result.steps > 2 and result.history[-1][1] is result.state
-        assert [hashlib.sha256(u.tobytes()).hexdigest() for _, u in result.history] == recorded
+        extra = {}
+        for t_end in (0.75, 7.5):
+            (records, on), (records_off, off) = retained(t_end, "true"), retained(t_end, "false")
+            assert records == records_off
+            extra[records] = on - off
+        (short, short_extra), (long, long_extra) = sorted(extra.items())
+        assert short <= 25 and long >= 150, extra
+        assert (long_extra - short_extra) / (long - short) < 2048, extra
 
     def test_dissipation_integral_monotone_in_horizon(self, gas):
         # the time integral of the log-density gradient norm grows with the
         # integration horizon on a diffusion-only run
-        from gasbox.timestep import SolverParams, StepController
         from gasbox.initial import initial_condition
         g = build_grid((8, 0, 0))
         u = initial_condition("gaussian_density_pulse", g, gas,
                               floor=1.0, amplitude=0.3, width=0.15)
         ctrl = StepController(g, gas, SolverParams(cfl=0.4))
-        history = [(0.0, u.copy())]
-        u, _ = ctrl.advance(u, 0.0, 0.03,
-                            on_step=lambda u_, t_, dt_, prim_: history.append((t_, u_.copy())))
-        records = [totals(u_, g, gas, t_) for t_, u_ in history]
-        integrals = [apriori_norm_report(history[:k], g, gas, records[:k])
-                     ["time_integrals"]["grad log rho (L2^2)"]
+        history = [sampled(0.0, u, primitives_from_conserved(u, gas), g, gas)]
+        ctrl.advance(u, 0.0, 0.03,
+                     on_step=lambda u_, t_, dt_, prim_: history.append(sampled(t_, u_, prim_, g, gas)))
+        integrals = [apriori_norm_report(history[:k])["time_integrals"]["grad log rho (L2^2)"]
                      for k in range(2, len(history) + 1)]
         assert all(np.isfinite(v) for v in integrals)
         assert all(b >= a for a, b in zip(integrals, integrals[1:]))

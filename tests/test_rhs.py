@@ -5,6 +5,7 @@ import pytest
 
 import gasbox.rhs
 from gasbox.config import parse_config
+from gasbox.diagnostics import apriori_sample, totals
 from gasbox.driver import simulate
 from gasbox.fluxes import (
     LambdaVariant,
@@ -353,3 +354,23 @@ class TestUfuncBudget:
         faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
         assert sum(elements for _, elements in tally.values()) / faces == 131.3125, tally
         assert tend.tobytes() == assemble_rhs(u5, grid, self.GAS, prim=prim).tobytes()
+
+    def test_record_passes_per_face(self, count_ufuncs):
+        # a diagnostics record costs about as much as a tendency: one walk
+        # over the face bundles plus the node sums and gradient norms
+        grid, u5 = self._field((16, 16, 16))
+        prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        rec, tally = count_ufuncs(totals, u5, grid, self.GAS, prim=prim)
+        faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
+        assert sum(elements for _, elements in tally.values()) / faces == 106.39583333333333, tally
+        plain = totals(u5, grid, self.GAS, prim=primitives_from_conserved(u5, self.GAS))
+        assert np.array(rec.row()).tobytes() == np.array(plain.row()).tobytes()
+
+    def test_apriori_sample_calls(self, count_ufuncs):
+        grid, u5 = self._field((16, 16, 16))
+        prim = primitives_from_conserved(u5, self.GAS)
+        rec = totals(u5, grid, self.GAS, prim=prim)
+        counted, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        sample, tally = count_ufuncs(apriori_sample, counted, grid, rec)
+        assert self._calls(tally) == 60, tally
+        assert sample.tobytes() == apriori_sample(prim, grid, rec).tobytes()

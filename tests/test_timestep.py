@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 import gasbox.diagnostics
 import gasbox.driver
+import gasbox.initial
 import gasbox.mms
 import gasbox.rhs
+import gasbox.thermo
 import gasbox.timestep
 from gasbox.config import parse_config
 from gasbox.fluxes import LambdaVariant, diffusion_coeffs
@@ -283,15 +287,21 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(gasbox.timestep, "assemble_rhs",
                             counting("rhs", gasbox.timestep.assemble_rhs))
-        for module in (gasbox.timestep, gasbox.rhs, gasbox.diagnostics):
-            monkeypatch.setattr(module, "primitives_from_conserved",
-                                counting("primitives", module.primitives_from_conserved))
+        # in every gasbox module that binds the conversion: thermo, initial,
+        # diagnostics, rhs and timestep (the driver binds none)
+        convert = gasbox.thermo.primitives_from_conserved
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gasbox"
+                   and getattr(m, "primitives_from_conserved", None) is convert]
+        assert gasbox.initial in modules
+        for module in modules:
+            monkeypatch.setattr(module, "primitives_from_conserved", counting("primitives", convert))
         return seen
 
     def test_run_converts_each_state_once(self, gas, counts):
-        # cadence above the step count: the first record and the loop each
-        # convert the initial state, each step converts its two later stages
-        # and its new state, and the final record reads the last step's
+        # cadence above the step count: the initial state's gate and the loop
+        # each convert it, the first record reads the gate's primitives, each
+        # step converts its two later stages and its new state, and the
+        # final record reads the last step's
         cfg = parse_config("[grid]\nn = 16 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
                            "[solver]\ncfl = 0.4\nt_end = 0.05\n"
                            "[initial]\npreset = gaussian_density_pulse\n"
