@@ -49,6 +49,7 @@ __all__ = [
     "ConvergenceRow",
     "convergence_study",
     "format_convergence_table",
+    "apriori_nonfinite",
     "apriori_sample",
     "apriori_norm_report",
     "format_apriori_report",
@@ -169,7 +170,7 @@ def _dissipation_bracket(face, h_axis, gas):
 
 def _area_sum(face_vals, face, index, grid):
     """sum over the faces of one block of :func:`face_blocks` of S * ``face_vals``."""
-    area = grid.face_area(face.axis)[index[-1]]
+    area = grid.face_areas[face.axis][index[-1]]
     return float(np.sum(area * np.sum(face_vals, axis=face.axis)))
 
 
@@ -272,7 +273,7 @@ def balance_residuals(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER):
         nonlocal dissipation, slack
         ax = face.axis
         h = grid.spacing[ax]
-        area = np.expand_dims(grid.face_area(ax)[index[-1]], ax)
+        area = np.expand_dims(grid.face_areas[ax][index[-1]], ax)
 
         ke_flux = sum((face.vel_bar[c] * total[c + 1] for c in range(3)),
                       -face.ke_bar * total[0])
@@ -417,6 +418,11 @@ def apriori_sample(prim, grid, rec):
         gradient_norm_l2(rho, grid) ** 2, rec.norm_grad_log_rho ** 2, gradient_norm_l2(rho ** 2.5, grid) ** 2,
         gradient_norm_l2(1.0 / rho, grid) ** 2, rec.norm_grad_temp32 ** 2, rec.entropy_dissipation,
     ])
+
+
+def apriori_nonfinite(sample):
+    """The report columns whose value in ``sample`` is not finite."""
+    return [key for key, val in zip(_SUP_COLUMNS + _INTEGRAND_COLUMNS, sample) if not np.isfinite(val)]
 
 
 def apriori_norm_report(history):

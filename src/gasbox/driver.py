@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import apriori_sample, totals
+from .diagnostics import apriori_nonfinite, apriori_sample, totals
 from .grid import build_grid
 from .initial import _gated
 from .mms import mms_from_initial
@@ -30,7 +30,7 @@ def simulate(cfg):
     not finite raises :class:`RunAbort`.  With ``cfg.apriori_report`` the
     history keeps (t, :func:`~gasbox.diagnostics.apriori_sample`) of each
     record, twelve numbers taken from the primitives the record reads; no
-    field is kept."""
+    field is kept, and a value that is not finite aborts like a monitor."""
     grid = build_grid(cfg.grid_n, cfg.extent)
     gas = cfg.gas
     u, prim = _gated(cfg.initial, grid, gas)
@@ -45,11 +45,12 @@ def simulate(cfg):
     def record(u_now, t_now, dt, prim):
         with np.errstate(all="ignore"):  # the abort below reports an overflow
             rec = totals(u_now, grid, gas, t=t_now, dt=dt, prim=prim)
-        if bad := rec.nonfinite():
+            sample = apriori_sample(prim, grid, rec) if cfg.apriori_report else ()
+        if bad := rec.nonfinite() + apriori_nonfinite(sample):
             raise RunAbort(f"monitors not finite at t = {t_now:.6g}: {', '.join(bad)}", t_now, u_now)
         result.records.append(rec)
         if cfg.apriori_report:
-            result.history.append((t_now, apriori_sample(prim, grid, rec)))
+            result.history.append((t_now, sample))
 
     def on_step(u_new, t_new, dt_used, prim):
         # ``prim`` is not kept past the call: the step controller frees its

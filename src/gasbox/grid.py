@@ -46,8 +46,8 @@ class Grid:
         the distance between the faces x_{i-1/2} and x_{i+1/2}
     spacing : per-axis uniform node spacing h (extent for degenerate axes)
     cell_volumes : V, shape ``shape``
-    face_area_x/y/z : wall-parallel control-surface areas; e.g.
-        ``face_area_x[j, k]`` multiplies every x-face flux in column (j, k)
+    face_areas : per axis, the areas of the faces normal to it; e.g.
+        ``face_areas[0][j, k]`` multiplies every x-face flux in column (j, k)
     active_axes : the axes with n >= 2, along which fluxes are computed
     """
 
@@ -56,27 +56,12 @@ class Grid:
     widths: tuple
     spacing: tuple
     cell_volumes: np.ndarray
-    face_area_x: np.ndarray
-    face_area_y: np.ndarray
-    face_area_z: np.ndarray
+    face_areas: tuple
     active_axes: tuple = field(default=())
 
     @cached_property
     def shape(self):
         return tuple(w.size for w in self.widths)
-
-    def face_area(self, axis):
-        return (self.face_area_x, self.face_area_y, self.face_area_z)[axis]
-
-    @cached_property
-    def inv_widths(self):
-        """Per axis, 1 / the dual widths, broadcast against full node arrays
-        along that axis; computed once per grid."""
-        out = tuple(1.0 / w.reshape([-1 if a == ax else 1 for a in range(3)])
-                    for ax, w in enumerate(self.widths))
-        for a in out:
-            a.setflags(write=False)
-        return out
 
     @cached_property
     def wall_mask(self):
@@ -174,9 +159,7 @@ def build_grid(n_per_axis, extent=(1.0, 1.0, 1.0)):
         widths=tuple(widths),
         spacing=tuple(spacing),
         cell_volumes=volumes,
-        face_area_x=area_x,
-        face_area_y=area_y,
-        face_area_z=area_z,
+        face_areas=(area_x, area_y, area_z),
         active_axes=tuple(ax for ax, n in enumerate(n_per_axis) if n > 0),
     )
 

@@ -41,19 +41,19 @@ _BLOCK_FACES = 1 << 15
 
 def _walk_plan(grid):
     """The face walk on ``grid``, planned on its first walk and kept on the
-    grid like ``Grid.inv_widths`` (again if ``_BLOCK_FACES`` changes):
-    ``(_BLOCK_FACES, blocks, wall planes)``.  Per block: its axis, the cuts
-    of its faces' two sides and of its nodes (each for node and stacked
-    arrays), and the cuts and slabs the scatter of :func:`assemble_rhs` reads."""
-    plan = grid.__dict__.get("_walk_plan")
-    if plan is not None and plan[0] == _BLOCK_FACES:
+    grid, so a change of ``_BLOCK_FACES`` reaches only grids not walked yet:
+    ``(blocks, wall planes)``.  Per block: its axis, the cuts of its faces'
+    two sides and of its nodes (each for node and stacked arrays), and the
+    cuts, slabs and inverse dual widths the scatter of :func:`assemble_rhs` reads."""
+    if (plan := grid.__dict__.get("_walk_plan")) is not None:
         return plan
     shape, blocks, walls = grid.shape, [], []
     for ax in grid.active_axes:
         along = (slice(None),) * (ax + 1)  # cuts along ax of a stacked array
         ends = [along + (cut,) for cut in (slice(1, -1), slice(0, 1), slice(-1, None))]
+        inv_widths = 1.0 / grid.widths[ax].reshape([-1 if a == ax else 1 for a in range(3)])
         scatter = (*ends, along + (slice(1, None),), along + (slice(None, -1),),
-                   *(grid.inv_widths[ax][end[1:]] for end in ends))
+                   *(inv_widths[end[1:]] for end in ends))
         walls += ends[1:]
         # a block is a run of whole planes along the first axis b other than ax
         b = 1 if ax == 0 else 0
@@ -63,15 +63,14 @@ def _walk_plan(grid):
             sides = [index[:ax] + (slice(None),) * (ax - len(index)) + (cut,) + index[ax + 1:]
                      for cut in (slice(None, -1), slice(1, None))]  # index, cut along ax
             blocks.append((ax, *((ix, (slice(None),) + ix) for ix in (*sides, index)), scatter))
-    plan = grid.__dict__["_walk_plan"] = (_BLOCK_FACES, tuple(blocks), tuple(walls))
-    return plan
+    return grid.__dict__.setdefault("_walk_plan", (tuple(blocks), tuple(walls)))
 
 
 def _zero_wall_momenta(u5, grid):
     """Zero the momentum rows of the wall nodes in place, through the first and
     last plane along each active axis (~20x faster than ``grid.wall_mask``)."""
     momenta = u5[1:4]
-    for plane in _walk_plan(grid)[2]:
+    for plane in _walk_plan(grid)[1]:
         momenta[plane] = 0.0
 
 
@@ -99,13 +98,14 @@ def face_fluxes(face, grid, gas, variant):
 
 def face_blocks(prim, grid):
     """Yield ``(face, index)`` for the interior faces of every active axis
-    in blocks of about ``_BLOCK_FACES`` faces, axis by axis.
+    in blocks of about ``_BLOCK_FACES`` faces (its value at the grid's
+    first walk), axis by axis.
 
     ``face`` is the block's :class:`~gasbox.thermo.FaceState`; ``index``
     cuts the block's nodes out of a node array (prepend ``slice(None)`` for
     a component axis).  A block is a run of whole planes along the first
     axis other than ``face.axis``: it holds whole grid lines along
-    ``face.axis``, and ``index[-1]`` picks its rows of ``grid.face_area``.
+    ``face.axis``, and ``index[-1]`` picks its rows of ``grid.face_areas[face.axis]``.
     """
     for face, (index, _), _ in _walk(prim, grid):
         yield face, index
@@ -115,7 +115,7 @@ def _walk(prim, grid):
     """Per block of the plan: its face bundle, node cuts and scatter; a
     side of a block is one cut of the node array (and of p and T)."""
     nodes, p, T = prim.nodes, prim.p, prim.T
-    for ax, (lix, lvix), (rix, rvix), cuts, scatter in _walk_plan(grid)[1]:
+    for ax, (lix, lvix), (rix, rvix), cuts, scatter in _walk_plan(grid)[0]:
         yield (face_means(ax, PrimitiveFields(nodes[lvix], p[lix], T[lix]),
                           PrimitiveFields(nodes[rvix], p[rix], T[rix])), cuts, scatter)
 

@@ -500,6 +500,38 @@ mode = mms
         assert meta["t"] == 0.0
         assert not (out / "diagnostics.csv").exists()
 
+    @staticmethod
+    def _rest_run(out, rho, report):
+        cfg = out / "run.cfg"
+        cfg.write_text(f"[grid]\nn = 4 4 0\n[solver]\nt_end = 1e-3\n[initial]\npreset = uniform_rest\n"
+                       f"rho = {rho}\n[output]\ndirectory = {out}\napriori_report = {report}\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["run", str(cfg)])
+        # a warning is a line of stderr from the shell; here it is recorded instead
+        return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+    def test_nonfinite_apriori_value_is_a_physics_abort(self, tmp_path):
+        # the monitors of rho = 1e80 are finite, but rho^4 of the L4 norm overflows
+        assert self._rest_run(tmp_path, "1e80", "true") == (
+            1, "physics abort: monitors not finite at t = 0: L4 norm of rho\n")
+        assert (tmp_path / "abort_last_good.snap").exists()
+        assert not (tmp_path / "apriori_report.txt").exists()
+        assert self._rest_run(tmp_path, "1e80", "false") == (0, "")
+
+    @settings(max_examples=25, deadline=None)
+    @given(e=st.integers(-330, 330))
+    def test_rest_density_reports_finite_values_or_exits_cleanly(self, tmp_path_factory, e):
+        out = tmp_path_factory.mktemp("rest")
+        code, err = self._rest_run(out, f"1e{e}", "true")
+        if code == 0:
+            report = (out / "apriori_report.txt").read_text()
+            values = [float(line.split()[-1]) for line in report.splitlines() if line.startswith("  ")]
+            assert err == "" and len(values) == 12 and all(np.isfinite(values)), (e, err, report)
+        else:
+            assert code in (1, 2) and err.count("\n") == 1 and err.endswith("\n"), (e, code, err)
+
     @pytest.mark.parametrize("argv, old, new, code, err", [
         (["run"], "t_end = 0.01", "t_end = 0.01\nseed = 1", 2, r"config error: line 5: .* unknown key"),
         (["converge"], "t_end = 0.01", "t_end = 0.01\nseed = 1", 2, r"config error: line 5: .* unknown key"),

@@ -106,9 +106,9 @@ class TestFaceBlocks:
             assert dataclasses.astuple(given) == dataclasses.astuple(converted)
 
     def test_blocked_face_sums_match_whole_slabs(self, rng, gas, monkeypatch):
+        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 500)  # before the grid is planned
         g = build_grid((40, 32, 24))
         u5 = random_admissible_field(rng, g, gas)
-        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 500)
         prim = primitives_from_conserved(u5, gas)
         assert sum(1 for _ in face_blocks(prim, g)) > 3 * len(g.active_axes)
         rec = totals(u5, g, gas, prim=prim)
@@ -122,7 +122,7 @@ class TestFaceBlocks:
                               primitives_from_conserved(u5[hi], gas))
             bracket, radiation = _dissipation_bracket(face, g.spacing[ax], gas)
             per_face = physical_coeff(face, gas) * bracket + radiation
-            dissipation += float(np.sum(g.face_area(ax) * np.sum(per_face, axis=ax)))
+            dissipation += float(np.sum(g.face_areas[ax] * np.sum(per_face, axis=ax)))
             jump_sq = sum(((r - l) / g.spacing[ax]) ** 2
                           for l, r in zip(face.left.vel, face.right.vel))
             grad_vel_sq += float(np.sum(g.cell_volumes[lo[1:]] * face.rho.bar ** 2 * jump_sq))
@@ -134,9 +134,9 @@ class TestFaceBlocks:
     def test_one_log_mean_chain_per_block(self, rng, gas, monkeypatch):
         # every face bundle runs one chain over its stacked rho/beta pair,
         # whichever walk builds it and whatever it reads
+        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 200)  # before the grid is planned
         g = build_grid((12, 10, 8))
         u5 = random_admissible_field(rng, g, gas)
-        monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 200)
         prim = primitives_from_conserved(u5, gas)
         calls = []
         log_mean = gasbox.means._log_mean
@@ -157,13 +157,19 @@ class TestFaceBlocks:
         u5 = random_admissible_field(rng, g, gas)
         params = SolverParams(cfl=0.4)
 
-        def monitors():
-            r = balance_residuals(u5, g, gas)
-            return r.tend.tobytes(), r.ke, r.ie, r.production, stable_dt(u5, g, gas, params)
+        def monitors(grid):
+            r = balance_residuals(u5, grid, gas)
+            return r.tend.tobytes(), r.ke, r.ie, r.production, stable_dt(u5, grid, gas, params)
 
-        whole = monitors()
+        whole = monitors(g)
         monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 60)
-        assert monitors() == whole
+        small = build_grid(n)  # a grid is planned once, so the small blocks need a new one
+        assert monitors(small) == whole
+        blocks = [len(gasbox.rhs._walk_plan(grid)[0]) for grid in (g, small)]
+        if len(g.active_axes) > 1:
+            assert blocks[1] > blocks[0]
+        else:
+            assert blocks == [1, 1], "a 1D grid is one block at any _BLOCK_FACES, so it tests no blocking"
 
 
 class TestKineticEnergyBalance:

@@ -27,7 +27,7 @@ class TestBuildGrid:
 
     def test_interior_face_area(self):
         g = build_grid((4, 4, 4))
-        assert g.face_area_x[2, 2] == 0.0625  # 0.25 * 0.25
+        assert g.face_areas[0][2, 2] == 0.0625  # 0.25 * 0.25
 
     def test_volume_face_width_consistency_bitwise_cubic(self):
         # all axes share one exactly-representable spacing: the three
@@ -37,9 +37,9 @@ class TestBuildGrid:
             wx = g.widths[0][:, None, None]
             wy = g.widths[1][None, :, None]
             wz = g.widths[2][None, None, :]
-            v1 = wx * g.face_area_x[None, :, :]
-            v2 = wy * g.face_area_y[:, None, :]
-            v3 = wz * g.face_area_z[:, :, None]
+            v1 = wx * g.face_areas[0][None, :, :]
+            v2 = wy * g.face_areas[1][:, None, :]
+            v3 = wz * g.face_areas[2][:, :, None]
             assert np.array_equal(v1, v2)
             assert np.array_equal(v1, v3)
             assert np.array_equal(g.cell_volumes, v1)
@@ -52,9 +52,9 @@ class TestBuildGrid:
             wx = g.widths[0][:, None, None]
             wy = g.widths[1][None, :, None]
             wz = g.widths[2][None, None, :]
-            v1 = wx * g.face_area_x[None, :, :]
-            v2 = wy * g.face_area_y[:, None, :]
-            v3 = wz * g.face_area_z[:, :, None]
+            v1 = wx * g.face_areas[0][None, :, :]
+            v2 = wy * g.face_areas[1][:, None, :]
+            v3 = wz * g.face_areas[2][:, :, None]
             for other in (v2, v3):
                 assert np.max(np.abs(v1 - other) / v1) <= 4e-16
 
@@ -63,9 +63,9 @@ class TestBuildGrid:
         wx = g.widths[0][:, None, None]
         wy = g.widths[1][None, :, None]
         wz = g.widths[2][None, None, :]
-        v1 = wx * g.face_area_x[None, :, :]
-        v2 = wy * g.face_area_y[:, None, :]
-        v3 = wz * g.face_area_z[:, :, None]
+        v1 = wx * g.face_areas[0][None, :, :]
+        v2 = wy * g.face_areas[1][:, None, :]
+        v3 = wz * g.face_areas[2][:, :, None]
         for other in (v2, v3):
             assert np.max(np.abs(v1 - other) / v1) <= 4e-16
 

@@ -230,20 +230,26 @@ class TestBlocks:
         g = build_grid(n)
         u5 = random_admissible_field(rng, g, gas)
 
-        def run():
+        def run(grid):
             axis_max = {}
 
             def on_block(face, index, flux, tilde_nu):
                 m = float(np.max(tilde_nu))
                 axis_max[face.axis] = max(axis_max.get(face.axis, -np.inf), m)
 
-            return assemble_rhs(u5, g, gas, variant, on_block=on_block), axis_max
+            return assemble_rhs(u5, grid, gas, variant, on_block=on_block), axis_max
 
-        whole, one_block = run()
+        whole, one_block = run(g)
         monkeypatch.setattr(gasbox.rhs, "_BLOCK_FACES", 60)
-        blocked, small_blocks = run()
+        small = build_grid(n)  # a grid is planned once, so the small blocks need a new one
+        blocked, small_blocks = run(small)
         assert np.array_equal(blocked, whole)
         assert small_blocks == one_block and sorted(one_block) == list(g.active_axes)
+        blocks = [len(gasbox.rhs._walk_plan(grid)[0]) for grid in (g, small)]
+        if len(g.active_axes) > 1:
+            assert blocks[1] > blocks[0]
+        else:
+            assert blocks == [1, 1], "a 1D grid is one block at any _BLOCK_FACES, so it tests no blocking"
 
 
 class TestWalkPlan:
