@@ -8,11 +8,15 @@ character).  Any other line is rejected at its line number, as is a
 section or key that ``_SCHEMA`` does not list (``[DEFAULT]`` among them),
 a repeated one, a key before the first header and a continuation line.
 ``_SCHEMA`` also holds the conversion that checks each value; the README
-lists the keys and their defaults.
+lists the keys and their defaults.  A grid, gas, solver or ``[initial]``
+section that its build rejects is reported at the first key without which
+it builds (in file order, ``preset`` last), else at the first key the
+message names, as when two keys are at fault, else at its header.
 """
 
 from dataclasses import dataclass, field
 import re
+import warnings
 
 from .fluxes import LambdaVariant
 from .grid import grid_sequence, grid_shape
@@ -154,51 +158,40 @@ def _named(keys, exc):
     return [k for k in keys if re.search(rf"\b{k}\b", str(exc), re.IGNORECASE)]
 
 
-def _fail_named(lines, section, keys, exc):
-    """Report ``exc`` under the first of ``keys`` its message names, else keys[0]."""
-    _fail(lines, section, (_named(keys, exc) or keys)[0], str(exc))
-
-
-def _initial_culprit(cfg):
-    """The first key of ``cfg.initial`` without which the block passes
-    :func:`~gasbox.initial.check_initial`, or None if no single key does."""
-    for key in [k for k in cfg.initial if k != "preset"]:
+def _builds(build, setting):
+    """Whether ``build(setting)`` succeeds, its warnings unprinted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         try:
-            check_initial({k: v for k, v in cfg.initial.items() if k != key}, cfg.grid_n, cfg.extent, cfg.gas)
-            return key
+            build(setting)
         except ValueError:
-            pass
-    return None
+            return False
+    return True
+
+
+def _build(lines, section, build, setting):
+    """``build(setting)`` of the keys a section sets; on ValueError, fail by the module docstring's rule."""
+    try:
+        return build(setting)
+    except ValueError as exc:
+        keys = sorted(setting, key=lambda k: k == "preset")
+        culprit = next((k for k in keys if _builds(build, {j: v for j, v in setting.items() if j != k})), None)
+        _fail(lines, section, culprit or (_named(keys, exc) or [None])[0], str(exc))
 
 
 def parse_config(text):
     """Parse and validate a configuration document into a :class:`RunConfig`."""
     values, lines = _read(text)
-    gas, solver, initial = (values.get(s, {}) for s in ("gas", "solver", "initial"))
+    grid, gas, solver, initial = (values.get(s, {}) for s in ("grid", "gas", "solver", "initial"))
     # only the keys the config sets: the defaults live in the dataclasses
     cfg = RunConfig(**{name: values[s][k] for s, k, name in _FIELDS if k in values.get(s, {})})
-    try:
-        grid_shape(cfg.grid_n, cfg.extent)
-    except ValueError as exc:
-        _fail_named(lines, "grid", ("n", "extent"), exc)
-
-    try:
-        cfg.gas = GasParams(**{"R" if k == "r" else k: v for k, v in gas.items()})
-    except ValueError as exc:
-        _fail_named(lines, "gas", tuple(_SCHEMA["gas"]), exc)
-
-    try:
-        cfg.solver = SolverParams(**{k: v for k, v in solver.items() if k != "t_end"})
-    except ValueError as exc:
-        _fail_named(lines, "solver", ("cfl", "dt_min", "max_rejects"), exc)
-
+    _build(lines, "grid", lambda kv: grid_shape(kv.get("n", RunConfig.grid_n), kv.get("extent", RunConfig.extent)),
+           grid)
+    cfg.gas = _build(lines, "gas", lambda kv: GasParams(**{"R" if k == "r" else k: v for k, v in kv.items()}), gas)
+    cfg.solver = _build(lines, "solver", lambda kv: SolverParams(**kv),
+                        {k: v for k, v in solver.items() if k != "t_end"})
+    # without an [initial] block the default state fails only for the gas
+    _build(lines, "initial" if ("initial", None) in lines else "gas",
+           lambda kv: check_initial({"preset": "uniform_rest", **kv}, cfg.grid_n, cfg.extent, cfg.gas), initial)
     cfg.initial = {"preset": "uniform_rest", **initial}
-    try:
-        check_initial(cfg.initial, cfg.grid_n, cfg.extent, cfg.gas)
-    except ValueError as exc:
-        # a message naming no key: blame the key whose removal admits the block
-        named = _named([k for k in cfg.initial if k != "preset"] + ["preset"], exc)
-        # without an [initial] block the default state fails only for the gas
-        section = "initial" if ("initial", None) in lines else "gas"
-        _fail(lines, section, named[0] if named else _initial_culprit(cfg), str(exc))
     return cfg

@@ -31,18 +31,20 @@ def _gaussian_bump(grid, width):
     return bump
 
 
+def _at_rest(rho, p, gas):
+    """The conserved field of a gas at rest at density ``rho`` and pressure ``p``."""
+    zero = np.zeros(rho.shape)
+    return conserved_from_primitives(rho, (zero, zero, zero), p, gas)
+
+
 def _uniform_rest(grid, gas, rho=1.0, temperature=1.0):
     rho_f = np.full(grid.shape, float(rho))
-    p = rho_f * gas.R * float(temperature)
-    zero = np.zeros(grid.shape)
-    return conserved_from_primitives(rho_f, (zero, zero, zero), p, gas)
+    return _at_rest(rho_f, rho_f * gas.R * float(temperature), gas)
 
 
 def _gaussian_density_pulse(grid, gas, floor=1.0, amplitude=0.5, width=0.1, temperature=1.0):
     rho = float(floor) + float(amplitude) * _gaussian_bump(grid, float(width))
-    p = rho * gas.R * float(temperature)
-    zero = np.zeros(grid.shape)
-    return conserved_from_primitives(rho, (zero, zero, zero), p, gas)
+    return _at_rest(rho, rho * gas.R * float(temperature), gas)
 
 
 def _acoustic_pulse(grid, gas, rho=1.0, temperature=1.0, amplitude=0.1, width=0.1):
@@ -50,16 +52,13 @@ def _acoustic_pulse(grid, gas, rho=1.0, temperature=1.0, amplitude=0.1, width=0.
     shape_fn = 1.0 + float(amplitude) * _gaussian_bump(grid, float(width))
     rho_f = float(rho) * shape_fn
     p0 = float(rho) * gas.R * float(temperature)
-    p = p0 * shape_fn ** gas.gamma
-    zero = np.zeros(grid.shape)
-    return conserved_from_primitives(rho_f, (zero, zero, zero), p, gas)
+    return _at_rest(rho_f, p0 * shape_fn ** gas.gamma, gas)
 
 
 def _thermal_spot(grid, gas, rho=1.0, temperature=1.0, amplitude=0.5, width=0.1):
     rho_f = np.full(grid.shape, float(rho))
     temp = float(temperature) + float(amplitude) * _gaussian_bump(grid, float(width))
-    zero = np.zeros(grid.shape)
-    return conserved_from_primitives(rho_f, (zero, zero, zero), rho_f * gas.R * temp, gas)
+    return _at_rest(rho_f, rho_f * gas.R * temp, gas)
 
 
 PRESETS = {

@@ -60,15 +60,16 @@ class MMSWave:
 
     def source(self, gas):
         """Forcing callable ``forcing(grid, t)`` for the tendency: the rows
-        ``(5,) + grid.shape`` at the time ``t``.  After the fit on a grid's
-        first call, a call is one matrix-vector product and one division."""
+        ``(5,) + grid.shape`` at the time ``t``.  It keeps the fit of the last
+        grid it was called with, refitted when another grid arrives; with that
+        fit, a call is one matrix-vector product and one division."""
         kernel = _compiled_source(self, gas)
-        fits = {}  # id(grid) -> (grid, its fit); holding the grid keeps its id
+        last = [None, None]  # the grid of the last call and its fit
 
         def forcing(grid, t):
-            if id(grid) not in fits:
-                fits[id(grid)] = grid, _fit(kernel, self, gas, grid.nodes[0])
-            rows = _rows(fits[id(grid)][1], self.omega * t).reshape(3, -1, 1, 1)
+            if last[0] is not grid:
+                last[:] = grid, _fit(kernel, self, gas, grid.nodes[0])
+            rows = _rows(last[1], self.omega * t).reshape(3, -1, 1, 1)
             out = np.zeros((5,) + grid.shape)
             out[:2], out[4] = rows[:2], rows[2]  # slices: cheaper than out[[0, 1, 4]]
             return out

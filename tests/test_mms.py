@@ -1,10 +1,12 @@
 """The compiled manufactured-solution forcing against its symbolic source."""
 
 import dataclasses
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import mpmath
 import numpy as np
@@ -115,6 +117,19 @@ def test_second_source_call_reuses_the_compiled_kernel():
     after = _compiled_source.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
+
+
+def test_source_keeps_the_fit_of_its_last_grid_only():
+    # A and B differ in extent, so a fit kept for the wrong grid shows
+    a = build_grid((16, 0, 0), extent=(WAVE.length, 1.0, 1.0))
+    b = build_grid((16, 0, 0), extent=(0.9 * WAVE.length, 1.0, 1.0))
+    forcing, a_ref = WAVE.source(GAS), weakref.ref(a)
+    for g in (a, b, a):
+        assert np.array_equal(forcing(g, 0.3), WAVE.source(GAS)(g, 0.3))
+    forcing(b, 0.3)
+    del a, g
+    gc.collect()
+    assert a_ref() is None
 
 
 @pytest.mark.parametrize("shape", [(16, 0, 0), (8, 4, 4)])
