@@ -23,8 +23,6 @@ import enum
 
 import numpy as np
 
-from .thermo import _sum_sq
-
 __all__ = [
     "LambdaVariant",
     "density_jump_sensor",
@@ -138,6 +136,7 @@ def convective_flux(face, gas):
     energy    mean(rho u_n) [1/(2(gamma-1) logmean(beta))
                              - mean(|v|^2)/2 + |mean v|^2] + p_face mean(u_n)
 
+    The bracket is formed through |mean v|^2 = mean(|v|^2) - |jump v|^2/4.
     Reduces to the exact analytic flux when both states agree.
     """
     ax = face.axis
@@ -146,7 +145,7 @@ def convective_flux(face, gas):
     out[0] = rho_un_mean = face.normal_momentum_bar
     np.multiply(vel_bar, rho_un_mean, out=out[1:4])
     out[ax + 1] += face.p_face
-    bracket = _internal_energy_factor(face, gas) - face.ke_bar + _sum_sq(vel_bar)
+    bracket = _internal_energy_factor(face, gas) + face.ke_bar - 0.25 * face.vel_jump_sq
     np.multiply(bracket, rho_un_mean, out=out[4])
     out[4] += face.p_face * vel_bar[ax]
     return out
@@ -158,8 +157,12 @@ def frak_p(face, h_axis):
     (1 / (2 logmean(beta))) D+ rho + (mean(rho)/2) D+ (1/beta); direction
     enters only through the axis of the face bundle.
     """
-    return 0.5 * ((face.rho.jump / h_axis) * face.inv_log_mean_beta
-                  + (face.inv_beta_jump / h_axis) * face.rho.bar)
+    return 0.5 * _twice_frak_p(face, h_axis, face.rho.jump / h_axis)
+
+
+def _twice_frak_p(face, h_axis, d_rho):
+    """2 frak_p from the density gradient ``d_rho`` = D+ rho."""
+    return d_rho * face.inv_log_mean_beta + (face.inv_beta_jump / h_axis) * face.rho.bar
 
 
 def _gradient_vector(face, h_axis, gas):
@@ -168,7 +171,7 @@ def _gradient_vector(face, h_axis, gas):
     out = np.empty((5,) + np.shape(face.rho.jump))
     d_rho = np.divide(face.rho.jump, h_axis, out=out[0])
     np.divide(face.momentum_jump, h_axis, out=out[1:4])
-    energy = np.divide(frak_p(face, h_axis), gas.gamma - 1.0, out=out[4])
+    energy = np.divide(_twice_frak_p(face, h_axis, d_rho), 2.0 * (gas.gamma - 1.0), out=out[4])
     energy += 0.5 * (face.rho_speed_sq_jump / h_axis)
     energy -= 0.25 * face.vel_jump_sq * d_rho
     return out

@@ -82,10 +82,9 @@ class PairMeans:
     z: np.ndarray         # zeta^2
 
 
-def _pair_fields(jump, log_jump, bar):
-    """The fields of :class:`PairMeans` in order, from the jumps and the
-    arithmetic mean (2 bar is exactly a + b)."""
-    return (jump, log_jump, bar) + _log_mean(2.0 * bar, jump, log_jump)
+def _pair_fields(jump, log_jump, bar, total):
+    """The :class:`PairMeans` fields from the jumps, the mean and the sum a + b."""
+    return (jump, log_jump, bar) + _log_mean(total, jump, log_jump)
 
 
 def pair_means(a, b, log_a, log_b):
@@ -97,7 +96,7 @@ def pair_means(a, b, log_a, log_b):
     than once per pair.  The log mean equals :func:`log_mean` of the
     same pair bitwise.
     """
-    return PairMeans(*_pair_fields(b - a, log_b - log_a, 0.5 * (a + b)))
+    return PairMeans(*_pair_fields(b - a, log_b - log_a, 0.5 * (total := a + b), total))
 
 
 def geo_mean(a, b):

@@ -32,11 +32,11 @@ __all__ = [
 ]
 
 
-# Faces per block of every face loop (:func:`face_blocks`): small
-# temporaries are reused by the allocator from block to block and stay in
-# cache, where whole-slab ones (~100 MB at 64^3) were faulted in afresh by
-# every evaluation.
-_BLOCK_FACES = 1 << 15
+# Faces per block of every face loop (:func:`face_blocks`): 3 planes at
+# 64^3 and 11 at 32^3, whose 14-row stacked temporaries (~1.4 MB each) the
+# allocator reuses from block to block; of the 2-8 planes scanned, larger
+# blocks ran slower at 64^3 and were faulted in afresh at 32^3.
+_BLOCK_FACES = 13_000
 
 
 def _walk_plan(grid):

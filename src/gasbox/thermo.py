@@ -250,8 +250,10 @@ def face_means(axis, left, right):
     np.subtract(rnodes[_RHO:], lnodes[_RHO:], out=jump[_RHO:])
     bar = np.add(lnodes[:_LOG_RHO], rnodes[:_LOG_RHO])
     ke_bar = 0.25 * bar[_SPEED_SQ]
+    # the log means read the rho/beta sums, then those and the velocity sums are halved
+    sums = bar[_RHO:_BETA + 1]
+    pair = _pair_fields(jump[_RHO:_BETA + 1], jump[_LOG_RHO:_LOG_BETA + 1], sums, sums)
     bar[_RHO:] *= 0.5
-    pair = _pair_fields(jump[_RHO:_BETA + 1], jump[_LOG_RHO:_LOG_BETA + 1], bar[_RHO:_BETA + 1])
     rho, beta = (PairMeans(*(field[i] for field in pair)) for i in (0, 1))
     vel_jump = jump[_VEL]
     return FaceState(

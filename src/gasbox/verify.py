@@ -12,7 +12,7 @@ from .diagnostics import balance_residuals, shuffle_gap_and_scale
 from .fluxes import LambdaVariant, convective_flux, density_jump_sensor, lambda_alt_coeffs
 from .grid import build_grid, sbp_residual
 from .means import arith_mean, geo_mean, log_mean, pair_means, split_average_residual
-from .rhs import apply_boundary_state
+from .rhs import _BLOCK_FACES, apply_boundary_state
 from .thermo import GasParams, conserved_from_primitives, face_means, primitives
 
 __all__ = ["BOUNDS", "within_bound", "random_states", "random_admissible_field", "run_verification",
@@ -45,10 +45,6 @@ BOUNDS = {
 _RHO_RANGE = (1e-3, 1e3)
 _TEMP_RANGE = (1e-3, 1e3)
 _VEL_MAX = 10.0
-
-# Pairs per chunk of the million-pair checks, reduced one chunk at a time:
-# temporaries of all pairs at once would set the sweep's peak memory.
-_CHUNK = 1 << 15
 
 
 def _draw_states(rng, shape, gas, rho_range=_RHO_RANGE, temp_range=_TEMP_RANGE, vel_max=_VEL_MAX):
@@ -111,7 +107,9 @@ def run_verification(seed=0, fast=False):
 def _worst_of(parts):
     """Merge the worst samples of several chunks of one check group: the
     largest for a bound from above, the smallest for one from below (a
-    NaN in any chunk stays NaN)."""
+    NaN in any chunk stays NaN).  A chunk has the face walk's block size
+    of pairs, as fast as the powers of two around it; all pairs'
+    temporaries at once would set the sweep's peak memory."""
     return {name: float((np.max if BOUNDS[name][1] == "<=" else np.min)([part[name] for part in parts]))
             for name in parts[0]}
 
@@ -123,8 +121,8 @@ def check_means(rng, gas, n_pairs):
     ratio = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n_pairs))
     # signed pairs of the split-average identity
     sa, sb, ta, tb = (rng.uniform(-1e3, 1e3, n_pairs) for _ in range(4))
-    return _worst_of([_means_worst(*(v[lo:lo + _CHUNK] for v in (a, ratio, sa, sb, ta, tb)))
-                      for lo in range(0, n_pairs, _CHUNK)])
+    return _worst_of([_means_worst(*(v[lo:lo + _BLOCK_FACES] for v in (a, ratio, sa, sb, ta, tb)))
+                      for lo in range(0, n_pairs, _BLOCK_FACES)])
 
 
 def _means_worst(a, ratio, sa, sb, ta, tb):
@@ -176,15 +174,20 @@ def check_flux_consistency(rng, gas, n_states):
     return {"two-point flux consistency at equal states": worst}
 
 
+def _chunked_faces(rng, n_pairs, gas, ax=0):
+    """Face bundles normal to ``ax`` of ``n_pairs`` random pairs, drawn at
+    once (left then right states) and built one chunk at a time."""
+    draws = [_draw_states(rng, n_pairs, gas) for _ in range(2)]
+    for lo in range(0, n_pairs, _BLOCK_FACES):
+        chunk = slice(lo, lo + _BLOCK_FACES)
+        yield face_means(ax, *(primitives(rho[chunk], tuple(c[chunk] for c in vel), p[chunk], gas)
+                               for rho, vel, p in draws))
+
+
 def check_mass_flux_coefficients(rng, gas, n_pairs):
     """Positivity of the rewritten mass-flux coefficients."""
-    left = _draw_states(rng, n_pairs, gas)
-    right = _draw_states(rng, n_pairs, gas)
     worst = []
-    for lo in range(0, n_pairs, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        faces = face_means(0, *(primitives(rho[chunk], tuple(c[chunk] for c in vel), p[chunk], gas)
-                                for rho, vel, p in (left, right)))
+    for faces in _chunked_faces(rng, n_pairs, gas):
         for variant in LambdaVariant:
             lam_a, lam_c = lambda_alt_coeffs(faces, variant, gas)
             worst.append({"rewritten coefficient (arith form) nonnegative": float(np.min(lam_a)),
@@ -193,19 +196,12 @@ def check_mass_flux_coefficients(rng, gas, n_pairs):
 
 
 def check_shuffle_gaps(rng, gas, n_pairs):
-    """Face entropy inequality on random pairs, both sensors."""
-    worst = {}
-    for variant in LambdaVariant:
-        name = f"face entropy inequality gap ({variant.value})"
-        worst[name] = np.inf
-        for ax in range(3):
-            faces = face_means(ax, random_states(rng, n_pairs, gas), random_states(rng, n_pairs, gas))
-            gap, scale = shuffle_gap_and_scale(faces, variant, gas)
-            worst[name] = min(worst[name], float(np.min(gap / scale)))
-            # free the bundle before the next draw; gap and scale stay, as freeing
-            # them too returns the heap's top to the system, to be faulted in again
-            del faces
-    return worst
+    """Face entropy inequality on random pairs, both sensors: the smallest
+    gap / scale of three draws per sensor, one per axis (a NaN stays NaN)."""
+    return {f"face entropy inequality gap ({variant.value})":
+            float(np.min([np.min(np.divide(*shuffle_gap_and_scale(faces, variant, gas)))
+                          for ax in range(3) for faces in _chunked_faces(rng, n_pairs, gas, ax)]))
+            for variant in LambdaVariant}
 
 
 def check_field_identities(rng, gas, sizes):

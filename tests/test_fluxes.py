@@ -111,6 +111,31 @@ class TestConvectiveFlux:
         scale = np.maximum(1.0, np.maximum(terms, np.abs(f_y[4])))
         assert np.max(np.abs(f_y[4] - f_x[4]) / scale) <= 1e-15
 
+    @pytest.mark.parametrize("pairs", ["large-data", "mirrored", "nearly-mirrored"])
+    def test_energy_bracket_is_the_mean_velocity_form(self, rng, gas, pairs):
+        # the energy row forms ie - mean(|v|^2)/2 + |mean v|^2 as
+        # ie + mean(|v|^2)/2 - |jump v|^2/4; it matches the first form to
+        # rounding of its terms, also where v_R ~ -v_L makes the last two
+        # terms cancel
+        n = 10**5
+        left, right = random_states(rng, n, gas), random_states(rng, n, gas)
+        if pairs != "large-data":
+            spread = 0.0 if pairs == "mirrored" else 1e-6
+            vel = tuple(-c * (1.0 + rng.uniform(-spread, spread, n)) for c in left.vel)
+            right = primitives(right.rho, vel, right.p, gas)
+        for ax in range(3):
+            face = face_means(ax, left, right)
+            ie = face.inv_log_mean_beta * (0.5 / (gas.gamma - 1.0))
+            vel_bar_sq = face.vel_bar[0] ** 2 + face.vel_bar[1] ** 2 + face.vel_bar[2] ** 2
+            mass_flux = face.normal_momentum_bar
+            pressure_work = face.p_face * face.vel_bar[ax]
+            written = (ie - face.ke_bar + vel_bar_sq) * mass_flux + pressure_work
+            # the rounding scale of the bracket times the mass flux, plus one
+            # ulp of the pressure work added to both rows alike
+            scale = (ie + face.ke_bar + vel_bar_sq) * np.abs(mass_flux) + np.abs(pressure_work)
+            err = np.abs(convective_flux(face, gas)[4] - written) / scale
+            assert np.max(err) <= 16 * np.finfo(float).eps, np.max(err)
+
 
 class TestSensorsAndLambda:
     def test_equal_density_moving(self, inviscid_gas):

@@ -350,7 +350,7 @@ class TestUfuncBudget:
         variant = LambdaVariant.SECOND_ORDER
         prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
         tend, tally = count_ufuncs(assemble_rhs, u5, grid, self.GAS, variant, prim=prim)
-        assert self._calls(tally) == 90, tally
+        assert self._calls(tally) == 85, tally
         assert tend.tobytes() == assemble_rhs(u5, grid, self.GAS, variant).tobytes()
 
     def test_3d_tendency_passes_per_face(self, count_ufuncs):
@@ -358,7 +358,7 @@ class TestUfuncBudget:
         prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
         tend, tally = count_ufuncs(assemble_rhs, u5, grid, self.GAS, prim=prim)
         faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
-        assert sum(elements for _, elements in tally.values()) / faces == 131.3125, tally
+        assert sum(elements for _, elements in tally.values()) / faces == 123.3125, tally
         assert tend.tobytes() == assemble_rhs(u5, grid, self.GAS, prim=prim).tobytes()
 
     def test_record_passes_per_face(self, count_ufuncs):
@@ -368,7 +368,7 @@ class TestUfuncBudget:
         prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
         rec, tally = count_ufuncs(totals, u5, grid, self.GAS, prim=prim)
         faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
-        assert sum(elements for _, elements in tally.values()) / faces == 106.39583333333333, tally
+        assert sum(elements for _, elements in tally.values()) / faces == 104.39583333333333, tally
         plain = totals(u5, grid, self.GAS, prim=primitives_from_conserved(u5, self.GAS))
         assert np.array(rec.row()).tobytes() == np.array(plain.row()).tobytes()
 
