@@ -67,18 +67,17 @@ def _walk_plan(grid):
 
 
 def _zero_wall_momenta(u5, grid):
-    """Zero the momentum rows of the wall nodes in place, through the first and
-    last plane along each active axis (~20x faster than ``grid.wall_mask``)."""
+    """``u5`` with the wall nodes' momentum rows zeroed in place, through the first
+    and last plane along each active axis (~20x faster than ``grid.wall_mask``)."""
     momenta = u5[1:4]
     for plane in _walk_plan(grid)[1]:
         momenta[plane] = 0.0
+    return u5
 
 
 def apply_boundary_state(u5, grid):
     """Return a copy with momentum zeroed on all wall nodes; rho, E untouched."""
-    out = np.array(u5, dtype=float, copy=True)
-    _zero_wall_momenta(out, grid)
-    return out
+    return _zero_wall_momenta(np.array(u5, dtype=float, copy=True), grid)
 
 
 def face_fluxes(face, grid, gas, variant):
@@ -121,7 +120,7 @@ def _walk(prim, grid):
 
 
 def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None, prim=None,
-                 on_block=None):
+                 on_block=None, out=None):
     """Tendency du/dt of the full scheme on an admissible field.
 
     Raises :class:`~gasbox.thermo.PositivityError` if the state is not
@@ -130,12 +129,15 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
     of ``u5``'s shape, is added before the wall momentum rows are frozen.
     ``on_block(face, index, flux, tilde_nu)``, if given, is called for each
     block of :func:`face_blocks` with the results of :func:`face_fluxes`,
-    which it must not write.
+    which it must not write.  ``out`` (of ``u5``'s shape) takes the tendency
+    in place of a new array; it may be ``u5``, read only by the conversion.
     """
     u5 = np.asarray(u5, dtype=float)
     if prim is None:
         prim = primitives_from_conserved(u5, gas)
-    tend = np.zeros(u5.shape)
+    tend = np.zeros(u5.shape) if out is None else out
+    if out is not None:
+        out.fill(0.0)
     for face, (index, rows), scatter in _walk(prim, grid):
         flux, tilde_nu = face_fluxes(face, grid, gas, variant)
         if on_block is not None:
@@ -152,5 +154,4 @@ def assemble_rhs(u5, grid, gas, variant=LambdaVariant.FIRST_ORDER, forcing=None,
         del face, flux, tilde_nu, diff
     if forcing is not None:
         tend += forcing
-    _zero_wall_momenta(tend, grid)
-    return tend
+    return _zero_wall_momenta(tend, grid)

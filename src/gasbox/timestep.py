@@ -89,9 +89,7 @@ def stable_dt(u5, grid, gas, params):
     4 kappa_r T^3 / (c_v rho).  The limit is the one
     :meth:`StepController.first_stage` derives for a step from ``u5``.
     """
-    u5 = np.asarray(u5, dtype=float)
-    prim = primitives_from_conserved(u5, gas)
-    return StepController(grid, gas, params).first_stage(u5, 0.0, prim)[1]
+    return StepController(grid, gas, params).first_stage(u5, 0.0, primitives_from_conserved(u5, gas))[1]
 
 
 def end_reached(t, t_end):
@@ -102,25 +100,22 @@ def end_reached(t, t_end):
 def ssprk3_step(u, dt, t, rhs, k1):
     """One SSP-RK3 step of du/dt = rhs(u, t).
 
-    ``k1`` is rhs(u, t), evaluated beforehand.  ``u`` and ``k1`` are never
-    written, so a rejected step can be retried with both; k1 + k2 is formed
-    once, and the last stage is combined in place in the arrays rhs returned
-    for k2 and k3 (rhs must return a new array per call).  The operations
-    and their order are those of the increment form above.
+    ``k1`` is rhs(u, t), evaluated beforehand.  rhs never receives ``u`` or
+    ``k1``, only a stage state, whose buffer it may return; neither is
+    written, so a rejected step can be retried with both.  k1 + k2 is formed
+    once and the last stage is combined in place in the arrays rhs returned,
+    in the operations and order of the increment form above.
     """
     u1 = dt * k1
     u1 += u
     k12 = rhs(u1, t + dt)  # k2, then k1 + k2
-    del u1
     k12 += k1
     u2 = (0.25 * dt) * k12
     u2 += u
     k3 = rhs(u2, t + 0.5 * dt)
-    del u2
     k3 *= 2.0 / 3.0
     k12 *= 1.0 / 6.0
     k12 += k3
-    del k3
     k12 *= dt
     k12 += u
     return k12
@@ -137,10 +132,12 @@ class StepController:
         self.rejections = 0
 
     def _rhs(self, u, t, prim=None, on_block=None):
-        """L(u, t): the tendency with the source's row at ``t``, if there is a source."""
+        """L(u, t): the tendency with the source's row at ``t``, if there is a source.
+        Without ``prim`` it is a later stage's, written into the buffer of its
+        state ``u``, which is dead once converted."""
         forcing = None if self.source is None else self.source(self.grid, t)
-        return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant,
-                            forcing=forcing, prim=prim, on_block=on_block)
+        return assemble_rhs(u, self.grid, self.gas, self.params.lambda_variant, forcing=forcing,
+                            prim=prim, on_block=on_block, out=u if prim is None else None)
 
     def first_stage(self, u, t, prim):
         """k1 = L(u, t), and :func:`stable_dt` of ``u``, both from the
@@ -167,7 +164,8 @@ class StepController:
                 u_new = ssprk3_step(u, dt, t, self._rhs, k1)
                 return u_new, dt, primitives_from_conserved(u_new, self.gas)
             except PositivityError as err:
-                error = err
+                # hold neither the failed attempt's frames nor its new state through the retry
+                error, u_new = err.with_traceback(None), None
                 self.rejections += 1
                 dt *= 0.5
                 if dt < self.params.dt_min:

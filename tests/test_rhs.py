@@ -125,6 +125,25 @@ class TestAssembleRhs:
             assemble_rhs(u5, g, gas)
         assert err.value.index == (2, 1, 3)
 
+    @pytest.mark.parametrize("n", [(6, 5, 4), (16, 0, 0)])
+    def test_tendency_into_its_own_state(self, rng, gas, n):
+        # a later RK stage hands its state as ``out``: the state is converted
+        # first, then overwritten by the tendency, bit for bit the new array's;
+        # an inadmissible state is left as it was
+        g = build_grid(n)
+        u5 = random_admissible_field(rng, g, gas)
+        forcing = rng.normal(size=u5.shape)
+        expected = assemble_rhs(u5, g, gas, LambdaVariant.SECOND_ORDER, forcing=forcing)
+        buf = u5.copy()
+        tend = assemble_rhs(buf, g, gas, LambdaVariant.SECOND_ORDER, forcing=forcing, out=buf)
+        assert tend is buf and tend.tobytes() == expected.tobytes()
+        bad = u5.copy()
+        bad[4, 2] = -1.0
+        before = bad.tobytes()
+        with pytest.raises(PositivityError):
+            assemble_rhs(bad, g, gas, out=bad)
+        assert bad.tobytes() == before
+
 
 class TestTranslationInvariance:
     def test_density_bump_diffuses_without_convection(self, gas):
@@ -360,6 +379,28 @@ class TestUfuncBudget:
         faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
         assert sum(elements for _, elements in tally.values()) / faces == 123.3125, tally
         assert tend.tobytes() == assemble_rhs(u5, grid, self.GAS, prim=prim).tobytes()
+
+    def test_1d_tendency_into_its_state_calls(self, count_ufuncs):
+        # a later RK stage's tendency, written into its own state's buffer,
+        # costs the calls of the new-array path and equals it bit for bit
+        grid, u5 = self._field((256, 0, 0))
+        variant = LambdaVariant.SECOND_ORDER
+        prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        buf = u5.copy()
+        tend, tally = count_ufuncs(assemble_rhs, buf, grid, self.GAS, variant, prim=prim, out=buf)
+        assert self._calls(tally) == 85, tally
+        assert np.shares_memory(tend, buf)
+        assert buf.tobytes() == assemble_rhs(u5, grid, self.GAS, variant).tobytes()
+
+    def test_3d_tendency_into_its_state_passes_per_face(self, count_ufuncs):
+        grid, u5 = self._field((16, 16, 16))
+        prim, _ = count_ufuncs(primitives_from_conserved, u5, self.GAS)
+        buf = u5.copy()
+        tend, tally = count_ufuncs(assemble_rhs, buf, grid, self.GAS, prim=prim, out=buf)
+        faces = sum(math.prod(n - (k == ax) for k, n in enumerate(grid.shape)) for ax in grid.active_axes)
+        assert sum(elements for _, elements in tally.values()) / faces == 123.3125, tally
+        assert np.shares_memory(tend, buf)
+        assert buf.tobytes() == assemble_rhs(u5, grid, self.GAS, prim=prim).tobytes()
 
     def test_record_passes_per_face(self, count_ufuncs):
         # a diagnostics record costs about as much as a tendency: one walk

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,15 +346,15 @@ MMS_CFG = ("[grid]\nn = 32 0 0\n[gas]\nmu0 = 0.01\nmu1 = 1e-4\n"
            "[solver]\ncfl = 0.4\nt_end = 0.1\n[initial]\npreset = mms_wave\n")
 
 
-def faulting_rhs(fault_at):
-    """``assemble_rhs`` that raises a positivity fault at its ``fault_at``-th call."""
+def faulting_rhs(fault_at, fn=assemble_rhs):
+    """``fn`` (``assemble_rhs``) that raises a positivity fault at its ``fault_at``-th call."""
     calls = []
 
     def rhs(*args, **kwargs):
         calls.append(None)
         if len(calls) == fault_at:
             raise PositivityError("density", (0,), -1.0)
-        return assemble_rhs(*args, **kwargs)
+        return fn(*args, **kwargs)
     return rhs
 
 
@@ -457,3 +459,114 @@ class TestSharedFirstStage:
                                for face, _ in face_blocks(prim, g))
             assert dt == _step_limit(prim, tilde_nu_max, g, gas, params)
             assert np.array_equal(k1, assemble_rhs(u, g, gas, variant))
+
+
+def fault_once(monkeypatch, fault):
+    """Make the next attempt fail once at ``fault``: a positivity fault raised
+    in place of its stage-2 or stage-3 tendency or of its new state's conversion."""
+    target, fault_at = {"stage-2": ("assemble_rhs", 1), "stage-3": ("assemble_rhs", 2),
+                        "new-state": ("primitives_from_conserved", 1)}[fault]
+    monkeypatch.setattr(gasbox.timestep, target, faulting_rhs(fault_at, getattr(gasbox.timestep, target)))
+
+
+class TestStageBuffers:
+    # the later stages write their tendencies into their own states' buffers;
+    # no stage ever receives u or k1, so a rejected attempt leaves both as
+    # they were for the retry
+
+    @pytest.mark.parametrize("fault", ["stage-2", "stage-3", "new-state", "non-finite-source"])
+    def test_rejected_attempt_writes_neither_u_nor_k1(self, monkeypatch, gas, fault):
+        # "non-finite-source": stage 2 at t + dt puts inf into k2 through the
+        # source, so the stage-3 state fails its own conversion.  The retry at
+        # dt/2 is bitwise a fresh controller's step at dt/2 with the same k1.
+        g, u = pulse_1d(gas)
+        params = SolverParams(cfl=0.4)
+        dt = stable_dt(u, g, gas, params)
+        source = late_fault_source(0.75 * dt) if fault == "non-finite-source" else None
+        ctrl, fresh = (StepController(g, gas, params, source=source) for _ in range(2))
+        k1, _ = ctrl.first_stage(u, 0.0, primitives_from_conserved(u, gas))
+        u_bytes, k1_bytes = u.tobytes(), k1.tobytes()
+        expected_u, expected_dt, expected_prim = fresh.attempt_step(u, 0.0, 0.5 * dt, k1)
+        if source is None:
+            fault_once(monkeypatch, fault)
+        with np.errstate(invalid="ignore", over="ignore"):
+            u_new, dt_used, prim = ctrl.attempt_step(u, 0.0, dt, k1)
+        assert ctrl.rejections == 1 and fresh.rejections == 0
+        assert u.tobytes() == u_bytes and k1.tobytes() == k1_bytes
+        assert dt_used == expected_dt == 0.5 * dt
+        assert u_new.tobytes() == expected_u.tobytes()
+        assert prim.nodes.tobytes() == expected_prim.nodes.tobytes()
+
+    def test_abort_carries_the_last_accepted_state(self, gas):
+        # the source turns non-finite after the first step, so every attempt
+        # of the second one writes inf into its stage-2 buffer and fails at
+        # stage 3; the abort carries the state the first step handed out,
+        # bitwise as it was then
+        g, u0 = pulse_1d(gas)
+        params = SolverParams(cfl=0.4, max_rejects=2)
+        dt = stable_dt(u0, g, gas, params)
+        ctrl = StepController(g, gas, params, source=late_fault_source(dt))
+        accepted = []
+
+        def on_step(u_, t_, dt_, prim_):
+            accepted.append((u_, u_.tobytes(), t_))
+
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(RunAbort) as err:
+            ctrl.advance(u0, 0.0, 1.0, on_step=on_step)
+        (u1, u1_bytes, t1), = accepted
+        assert t1 == dt and err.value.t == t1 and ctrl.rejections == 3
+        assert err.value.state is u1 and u1.tobytes() == u1_bytes
+
+
+class TestStepMemory:
+    # tracemalloc sees numpy's buffers.  At 48^3 (demo.cfg physics) a state
+    # is one (5, 49, 49, 49) array of 4.7 MB and one PrimitiveFields 3.2
+    # states; the caller holds u and k1 on entry.
+    GAS = GasParams(gamma=1.4, R=1.0, mu0=0.02, mu1=1e-4, kappa_r=1e-6)
+
+    def _attempt(self, monkeypatch, fault=None):
+        """(peak above entry, retained after return, rejections) of one
+        ``attempt_step`` at 48^3, in states, less one PrimitiveFields; the
+        returned state and its primitives do not count as retained.  A
+        ``fault`` of :class:`TestStageBuffers` rejects its first try."""
+        g = build_grid((48, 48, 48))
+        u = initial_condition("gaussian_density_pulse", g, self.GAS, floor=1.0, amplitude=0.5, width=0.1)
+        ctrl = StepController(g, self.GAS, SolverParams(cfl=0.4))
+        prim = primitives_from_conserved(u, self.GAS)
+        k1, dt = ctrl.first_stage(u, 0.0, prim)
+        prim_bytes = prim.nodes.nbytes + prim.p.nbytes + prim.T.nbytes
+        del prim
+        if fault == "non-finite-source":
+            ctrl.source = late_fault_source(0.75 * dt)  # a row of zeros or inf for each later stage
+        elif fault is not None:
+            fault_once(monkeypatch, fault)
+        gc.disable()  # a reference cycle must not be freed by chance
+        tracemalloc.start()
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                u_new, _, _ = ctrl.attempt_step(u, 0.0, dt, k1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        retained -= u_new.nbytes + prim_bytes
+        return (peak - prim_bytes) / u.nbytes, retained / u.nbytes, ctrl.rejections
+
+    def test_accepted_attempt_holds_two_states_above_entry(self, monkeypatch):
+        # the peak is the stage-3 face walk: k1 + k2 and the stage-3 state,
+        # which takes k3, are 2 states, and one face block's temporaries add
+        # 0.9 (2.90 in all).  A new array for k3 would be a third state: 3.90.
+        peak, retained, rejections = self._attempt(monkeypatch)
+        assert rejections == 0 and abs(retained) < 0.1
+        assert peak < 3.4, peak
+
+    @pytest.mark.parametrize("fault", ["non-finite-source", "new-state"])
+    def test_rejected_attempt_holds_nothing_through_the_retry(self, monkeypatch, fault):
+        # the failed try's arrays are freed before the retry: the peak is an
+        # accepted attempt's (2.90), plus a stage's source row (1 state) when
+        # there is a source, and nothing stays behind once the step returns.
+        # Held by the kept exception's frames, and the failed new state by
+        # its name, they read 10.9 and 6.0 (source), 4.9 and 1.0 (new state).
+        peak, retained, rejections = self._attempt(monkeypatch, fault)
+        assert rejections == 1 and abs(retained) < 0.1
+        assert peak < 3.4 + (fault == "non-finite-source"), peak
